@@ -13,11 +13,13 @@
 # metrics, the stats wire frame, a SIGQUIT flight-recorder dump, then a
 # graceful SIGTERM drain), the obsdiff-over-daemon gate (daemon event
 # stream quality-identical to a direct engine run; a weaker-method
-# perturbation must trip it), an ASan+UBSan pass over the arena-backed DW
-# solvers and the SolutionSet kernels, then a ThreadSanitizer pass over
-# the parallel execution layer (par/, including the work-stealing
-# scheduler and the pool timeline/TimedMutex instrumentation),
-# observability (obs/) and service (serve/) tests.
+# perturbation must trip it), the stress-exit check (1000 processes that
+# start the global pool and exit at once), an ASan+UBSan pass over the
+# arena-backed DW solvers and the SolutionSet kernels, then a
+# suppression-free ThreadSanitizer pass over the parallel execution layer
+# (par/, including the work-stealing scheduler and the pool
+# timeline/TimedMutex instrumentation), observability (obs/), engine and
+# service (serve/) tests.
 #
 # Bench artifacts land in $PATLABOR_BENCH_OUT when set (the analyzer reads
 # from the same place), else in build/bench/bench/out as before.
@@ -297,6 +299,11 @@ cmake --build build -j
 (cd build && PATLABOR_CACHE=0 ctest --output-on-failure -j)
 (cd build && PATLABOR_CACHE=1 ctest --output-on-failure -j)
 
+# Also part of ctest above; named here because it is the check for the
+# exit-time race (a pool worker starting while statics are destroyed).
+echo "== stress exit: 1000 processes that start the pool and exit at once =="
+./build/tests/test_stress_exit
+
 if [[ $quick -eq 1 ]]; then
   echo "== scaling smoke: 36-net sweep + attribution analysis =="
   (cd build/bench && REPRO_SCALE="${REPRO_SCALE:-0.5}" \
@@ -409,9 +416,8 @@ if [[ $run_tsan -eq 1 ]]; then
     test_serve test_cli_trace patlabor_cli patlabor_obsdiff
   (
     cd build-tsan
-    # tsan.supp covers the known relaxed read-unlock inside libstdc++'s
-    # atomic<shared_ptr> (_Sp_atomic), hit by the cache's snapshot reads.
-    export TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/../scripts/tsan.supp"
+    # No suppressions: every report is a failure.
+    export TSAN_OPTIONS="halt_on_error=1"
     ./tests/test_par
     ./tests/test_obs
     ./tests/test_metrics

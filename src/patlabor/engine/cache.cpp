@@ -1,29 +1,27 @@
 #include "patlabor/engine/cache.hpp"
 
-#include <algorithm>
-#include <utility>
+#include <cstdlib>
+#include <mutex>
+#include <string_view>
 
 #include "patlabor/obs/obs.hpp"
 
 namespace patlabor::engine {
 
-namespace {
-
-std::size_t round_up_pow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
+bool cache_enabled(const CacheOptions& options) {
+  const char* env = std::getenv("PATLABOR_CACHE");
+  return options.enabled.value_or(env == nullptr ||
+                                  std::string_view(env) != "0") &&
+         options.capacity > 0;
 }
 
-}  // namespace
-
-FrontierCache::FrontierCache(std::size_t capacity, std::size_t shards)
-    : capacity_(capacity) {
-  const std::size_t n = round_up_pow2(std::max<std::size_t>(shards, 1));
+FrontierCache::FrontierCache(std::size_t capacity) : capacity_(capacity) {
+  const std::size_t n = stripe_count(capacity);
   shards_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
+  for (std::size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>());
-  per_shard_ = std::max<std::size_t>(1, (capacity_ + n - 1) / n);
+    shards_.back()->capacity = capacity / n + (i < capacity % n ? 1 : 0);
+  }
 }
 
 FrontierCache::Shard& FrontierCache::shard_of(std::uint64_t key) {
@@ -36,64 +34,46 @@ std::optional<CacheEntry> FrontierCache::find(
     std::uint64_t key, const std::vector<geom::Point>& pins) {
   if (capacity_ == 0) return std::nullopt;
   Shard& sh = shard_of(key);
-  // Wait-free read path: probe the published snapshot.  The acquire load
-  // pairs with insert's release store, so every node reachable from the
-  // snapshot is fully constructed; nodes are immutable apart from their
-  // recency tick.
-  const std::shared_ptr<const Snapshot> snap =
-      sh.snapshot.load(std::memory_order_acquire);
-  if (snap != nullptr) {
-    const auto it = snap->find(key);
-    if (it != snap->end() && it->second->entry.pins == pins) {
-      it->second->tick.store(tick_.fetch_add(1, std::memory_order_relaxed) + 1,
-                             std::memory_order_relaxed);
-      sh.hits.fetch_add(1, std::memory_order_relaxed);
-      PL_COUNT("engine.cache.hit", 1);
-      return it->second->entry;
-    }
+  std::lock_guard<obs::TimedMutex> lock(sh.mu);
+  const auto it = sh.index.find(key);
+  if (it == sh.index.end() || it->second->second.pins != pins) {
+    ++sh.misses;
+    PL_COUNT("engine.cache.miss", 1);
+    return std::nullopt;
   }
-  sh.misses.fetch_add(1, std::memory_order_relaxed);
-  PL_COUNT("engine.cache.miss", 1);
-  return std::nullopt;
+  sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
+  ++sh.hits;
+  PL_COUNT("engine.cache.hit", 1);
+  return it->second->second;
 }
 
 void FrontierCache::insert(std::uint64_t key, CacheEntry entry) {
   if (capacity_ == 0) return;
   Shard& sh = shard_of(key);
-  std::uint64_t evicted = 0;
-  std::int64_t delta = 0;
+  bool evicted = false;
   {
     std::lock_guard<obs::TimedMutex> lock(sh.mu);
-    auto node = std::make_shared<Node>(
-        std::move(entry), tick_.fetch_add(1, std::memory_order_relaxed) + 1);
-    const auto it = sh.map.find(key);
-    if (it != sh.map.end()) {
-      it->second = std::move(node);  // refresh: new node, new tick
-    } else {
-      sh.map.emplace(key, std::move(node));
-      ++delta;
-      while (sh.map.size() > per_shard_) {
-        auto victim = sh.map.begin();
-        for (auto i = sh.map.begin(); i != sh.map.end(); ++i)
-          if (i->second->tick.load(std::memory_order_relaxed) <
-              victim->second->tick.load(std::memory_order_relaxed))
-            victim = i;
-        sh.map.erase(victim);
-        ++evicted;
-        --delta;
-      }
+    if (const auto it = sh.index.find(key); it != sh.index.end()) {
+      it->second->second = std::move(entry);
+      sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
+      return;
     }
-    sh.evictions += evicted;
-    // Copy-on-write publication; readers holding the old snapshot keep a
-    // consistent (merely stale) view until their shared_ptr drops.
-    sh.snapshot.store(std::make_shared<const Snapshot>(sh.map),
-                      std::memory_order_release);
+    sh.lru.emplace_front(key, std::move(entry));
+    sh.index.emplace(key, sh.lru.begin());
+    // Every share is >= 1, so one eviction restores the bound.
+    if (sh.lru.size() > sh.capacity) {
+      sh.index.erase(sh.lru.back().first);
+      sh.lru.pop_back();
+      ++sh.evictions;
+      evicted = true;
+    }
   }
-  if (delta != 0)
+  if (evicted) {
+    PL_COUNT("engine.cache.evict", 1);
+  } else {
     PL_GAUGE_SET("engine.cache.entries",
-                 population_.fetch_add(delta, std::memory_order_relaxed) +
-                     delta);
-  if (evicted > 0) PL_COUNT("engine.cache.evict", evicted);
+                 population_.fetch_add(1, std::memory_order_relaxed) + 1);
+  }
 }
 
 CacheStats FrontierCache::stats() const {
@@ -101,12 +81,13 @@ CacheStats FrontierCache::stats() const {
   s.shards.reserve(shards_.size());
   for (const auto& sh : shards_) {
     ShardStats ss;
+    // Lock counters first, so this call's own acquisition is not counted.
     ss.lock = sh->mu.stats();
-    ss.hits = sh->hits.load(std::memory_order_relaxed);
-    ss.misses = sh->misses.load(std::memory_order_relaxed);
     {
       std::lock_guard<obs::TimedMutex> lock(sh->mu);
-      ss.entries = sh->map.size();
+      ss.entries = sh->lru.size();
+      ss.hits = sh->hits;
+      ss.misses = sh->misses;
       ss.evictions = sh->evictions;
     }
     s.hits += ss.hits;
@@ -121,8 +102,8 @@ CacheStats FrontierCache::stats() const {
 void FrontierCache::clear() {
   for (const auto& sh : shards_) {
     std::lock_guard<obs::TimedMutex> lock(sh->mu);
-    sh->map.clear();
-    sh->snapshot.store(nullptr, std::memory_order_release);
+    sh->lru.clear();
+    sh->index.clear();
   }
   population_.store(0, std::memory_order_relaxed);
   PL_GAUGE_SET("engine.cache.entries", 0);

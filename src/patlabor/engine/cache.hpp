@@ -1,5 +1,5 @@
-// The engine's frontier cache: a sharded, mutex-striped LRU map from
-// canonical net keys to computed frontiers + topologies.
+// The engine's frontier cache: a sharded LRU map from canonical net keys
+// to computed frontiers + topologies.
 //
 // Keys come from geom::canonicalize, so every net that is a translation /
 // axis swap / reflection of an already-routed net can be answered from the
@@ -9,31 +9,27 @@
 // which makes hash collisions harmless and enforces the determinism
 // contract for nets the symmetry argument does not cover.
 //
-// Concurrency: the key space is striped over shards, and the read path is
-// wait-free.  Each shard publishes an immutable copy-on-write snapshot of
-// its map through a std::atomic<std::shared_ptr>; find() acquire-loads the
-// snapshot and probes it without ever taking a lock, stamping the hit
-// node's recency tick with a relaxed atomic store.  The shard mutex is
-// touched only by insert/evict/clear, which rebuild the map under the lock
-// and release-publish a fresh snapshot.  Entries are immutable once
-// published (a key refresh makes a new node), so readers can never observe
-// a half-written frontier.  Racing inserts of the same key are benign
-// because the engine only ever inserts bit-identical values for a given
-// key — and for the same reason a miss needs no locked double-check:
-// recomputing is correct, just slower.
-//
-// Eviction is exact LRU via the recency ticks: every hit and insert draws
-// a fresh tick from a global counter, and a full shard evicts its
-// minimum-tick node (equivalent to the classic intrusive-list LRU, without
-// writes to shared list pointers on the read path).
+// Concurrency: the key space is striped over stripe_count(capacity)
+// shards, each a classic LRU (a most-recent-first list plus a key ->
+// list-node index) behind one mutex.  find and insert both work under the
+// shard lock: a hit splices its node to the front and copies the entry
+// out; an insert refreshes or adds at the front and evicts from the back
+// once the shard is over its share of the capacity.  Racing inserts of the
+// same key are benign because the engine only ever inserts bit-identical
+// values for a given key — and for the same reason a miss needs no
+// double-check before recomputing.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "patlabor/geom/point.hpp"
@@ -46,16 +42,24 @@ namespace patlabor::engine {
 struct CacheOptions {
   /// Maximum number of cached nets across all shards (0 disables caching).
   std::size_t capacity = 1 << 13;
-  /// Number of mutex stripes; rounded up to a power of two.
-  std::size_t shards = 16;
   /// Tri-state enable: unset defers to the PATLABOR_CACHE environment
   /// variable ("0" disables, anything else — including unset — enables).
   std::optional<bool> enabled;
 };
 
+/// Whether an engine built with `options` caches: `enabled` if set, else
+/// the PATLABOR_CACHE rule above; never at zero capacity.
+bool cache_enabled(const CacheOptions& options);
+
+/// Lock stripes for a cache of `capacity` entries: the largest power of two
+/// <= capacity / 64, clamped to [1, 16].  Every stripe holds at least 64
+/// entries, so a small capacity is one exact LRU.
+constexpr std::size_t stripe_count(std::size_t capacity) {
+  return std::clamp<std::size_t>(std::bit_floor(capacity / 64), 1, 16);
+}
+
 /// Per-stripe counters: population, hit/miss/eviction skew, and the
 /// stripe's lock-wait totals (all-zero lock stats under PATLABOR_OBS=OFF).
-/// Lock stats cover the write path only — reads are lock-free.
 struct ShardStats {
   std::size_t entries = 0;
   std::uint64_t hits = 0;
@@ -86,17 +90,15 @@ struct CacheEntry {
 
 class FrontierCache {
  public:
-  explicit FrontierCache(std::size_t capacity = 1 << 13,
-                         std::size_t shards = 16);
+  explicit FrontierCache(std::size_t capacity = 1 << 13);
 
   /// Copies the entry for (key, pins) out, bumping it to most-recent, or
   /// returns nullopt.  A key match with different pins is a miss.
-  /// Wait-free: probes the shard's published snapshot without locking.
   std::optional<CacheEntry> find(std::uint64_t key,
                                  const std::vector<geom::Point>& pins);
 
-  /// Inserts (or refreshes) the entry for `key`, evicting the least
-  /// recently used entry of the shard if it is full.
+  /// Inserts (or refreshes) the entry for `key` as most-recent, evicting
+  /// the shard's least recently used entry if it is full.
   void insert(std::uint64_t key, CacheEntry entry);
 
   CacheStats stats() const;
@@ -105,42 +107,24 @@ class FrontierCache {
   std::size_t capacity() const { return capacity_; }
 
  private:
-  /// One published cache record.  `entry` is immutable from publication
-  /// on; `tick` is the only mutable field (relaxed recency stamp).
-  struct Node {
-    CacheEntry entry;
-    mutable std::atomic<std::uint64_t> tick;
-    Node(CacheEntry e, std::uint64_t t) : entry(std::move(e)), tick(t) {}
-  };
-  /// The read-side view of a shard: an immutable key -> node map, replaced
-  /// wholesale on every mutation (copy-on-write).
-  using Snapshot = std::unordered_map<std::uint64_t,
-                                      std::shared_ptr<const Node>>;
-
   struct Shard {
-    /// Write-path lock (insert/evict/clear); lock-wait accounting rolls up
-    /// into the engine.cache.lock.* counter family.
+    /// Lock-wait accounting rolls up into engine.cache.lock.*.
     obs::TimedMutex mu{"engine.cache.lock"};
-    /// Authoritative map, mutated under mu only.
-    Snapshot map;
-    /// Reader-facing publication of `map`; null means empty.  Readers
-    /// acquire-load, writers release-store a fresh copy.
-    std::atomic<std::shared_ptr<const Snapshot>> snapshot;
-    /// Read-path counters are lock-free too.
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-    std::uint64_t evictions = 0;  // under mu
+    /// Most recently used first; `index` maps each key to its node.
+    std::list<std::pair<std::uint64_t, CacheEntry>> lru;
+    std::unordered_map<std::uint64_t, decltype(lru)::iterator> index;
+    std::size_t capacity = 0;  // this stripe's share of the total
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
   };
 
   Shard& shard_of(std::uint64_t key);
 
   std::size_t capacity_;
-  std::size_t per_shard_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Global recency clock: every hit and insert draws the next tick.
-  std::atomic<std::uint64_t> tick_{0};
-  /// Approximate live population, mirrored into the engine.cache.entries
-  /// gauge for the metrics exposition layer.
+  /// Live population, mirrored into the engine.cache.entries gauge for the
+  /// metrics exposition layer.
   std::atomic<std::int64_t> population_{0};
 };
 

@@ -1,7 +1,6 @@
 #include "patlabor/engine/engine.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -15,11 +14,6 @@
 namespace patlabor::engine {
 
 namespace {
-
-bool cache_enabled_from_env() {
-  const char* v = std::getenv("PATLABOR_CACHE");
-  return v == nullptr || std::string_view(v) != "0";
-}
 
 /// Maps canonical-frame trees back into the original frame through the
 /// inverse isometry.  from_edges re-interns the nodes against the original
@@ -47,11 +41,10 @@ std::vector<tree::RoutingTree> map_back(
 
 Engine::Engine(EngineOptions options)
     : options_(std::move(options)),
-      cache_(options_.cache.capacity, options_.cache.shards) {
+      cache_(options_.cache.capacity),
+      cache_enabled_(engine::cache_enabled(options_.cache)) {
   if (options_.jobs != 0)
     private_pool_ = std::make_unique<par::ThreadPool>(options_.jobs);
-  cache_enabled_ = options_.cache.enabled.value_or(cache_enabled_from_env()) &&
-                   options_.cache.capacity > 0;
 }
 
 void Engine::adopt_table(lut::LookupTable table) {

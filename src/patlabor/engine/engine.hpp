@@ -184,7 +184,7 @@ class Engine {
   std::unique_ptr<par::ThreadPool> private_pool_;
   MethodRegistry registry_;
   mutable FrontierCache cache_;
-  bool cache_enabled_ = true;
+  bool cache_enabled_;
 };
 
 }  // namespace patlabor::engine

@@ -47,7 +47,9 @@ void Histogram::reset() noexcept {
 }
 
 StatsRegistry& StatsRegistry::instance() {
-  static StatsRegistry r;
+  // Immortal (never destroyed): pool workers and exit hooks may count into
+  // it while the process is already running static destructors.
+  static StatsRegistry& r = *new StatsRegistry;
   return r;
 }
 

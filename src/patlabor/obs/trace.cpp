@@ -27,8 +27,10 @@ struct BufRegistry {
   std::uint32_t next_tid = 1;
 };
 
+/// Immortal (never destroyed): a pool worker that starts late can reach
+/// local_buf() while the process is already running static destructors.
 BufRegistry& buf_registry() {
-  static BufRegistry r;
+  static BufRegistry& r = *new BufRegistry;
   return r;
 }
 

@@ -6,6 +6,8 @@
 // matches direct core::patlabor.
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -143,7 +145,7 @@ engine::CacheEntry entry_with(std::vector<Point> pins) {
 }
 
 TEST(FrontierCache, LruEvictsLeastRecentlyUsed) {
-  engine::FrontierCache cache(/*capacity=*/2, /*shards=*/1);
+  engine::FrontierCache cache(/*capacity=*/2);
   cache.insert(1, entry_with({{1, 1}}));
   cache.insert(2, entry_with({{2, 2}}));
   EXPECT_TRUE(cache.find(1, {{1, 1}}).has_value());  // bump key 1
@@ -157,21 +159,22 @@ TEST(FrontierCache, LruEvictsLeastRecentlyUsed) {
 }
 
 TEST(FrontierCache, KeyMatchWithDifferentPinsIsAMiss) {
-  engine::FrontierCache cache(8, 1);
+  engine::FrontierCache cache(8);
   cache.insert(42, entry_with({{1, 1}, {2, 2}}));
   EXPECT_FALSE(cache.find(42, {{1, 1}, {9, 9}}).has_value());
   EXPECT_TRUE(cache.find(42, {{1, 1}, {2, 2}}).has_value());
 }
 
 TEST(FrontierCache, ZeroCapacityDisablesStorage) {
-  engine::FrontierCache cache(0, 4);
+  engine::FrontierCache cache(0);
   cache.insert(1, entry_with({{1, 1}}));
   EXPECT_FALSE(cache.find(1, {{1, 1}}).has_value());
   EXPECT_EQ(cache.stats().entries, 0u);
 }
 
 TEST(FrontierCache, PerShardStatsSumToTheTotals) {
-  engine::FrontierCache cache(/*capacity=*/64, /*shards=*/4);
+  // 256 entries spread over stripe_count(256) == 4 stripes.
+  engine::FrontierCache cache(/*capacity=*/256);
   for (std::uint64_t k = 0; k < 32; ++k) {
     cache.find(k, {{int(k), int(k)}});  // miss
     cache.insert(k, entry_with({{int(k), int(k)}}));
@@ -199,31 +202,59 @@ TEST(FrontierCache, PerShardStatsSumToTheTotals) {
   EXPECT_GE(populated, 2u);
 }
 
-TEST(FrontierCache, OnlyInsertsTakeTheShardLock) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built without PATLABOR_OBS";
-  const bool was = obs::enabled();
-  obs::set_enabled(true);
-  engine::FrontierCache cache(16, 2);
-  cache.insert(7, entry_with({{7, 7}}));
-  std::uint64_t acquisitions = 0;
-  for (const engine::ShardStats& sh : cache.stats().shards)
-    acquisitions += sh.lock.acquisitions;
-  // The insert takes its stripe's lock (stats() reads the lock counters
-  // before re-acquiring, so its own locks don't count).
-  EXPECT_GE(acquisitions, 1u);
-  // The read path is wait-free: hits and misses probe the published
-  // snapshot and never touch the mutex, so the only lock traffic between
-  // the two snapshots is the first stats() call's own per-shard locks.
-  cache.find(7, {{7, 7}});            // hit
-  cache.find(99, {{9, 9}});           // miss
-  const engine::CacheStats s = cache.stats();
-  std::uint64_t after = 0;
-  for (const engine::ShardStats& sh : s.shards)
-    after += sh.lock.acquisitions;
-  EXPECT_EQ(after, acquisitions + s.shards.size());
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 1u);
-  obs::set_enabled(was);
+TEST(FrontierCache, StripeCountIsDerivedFromCapacity) {
+  EXPECT_EQ(engine::stripe_count(0), 1u);
+  EXPECT_EQ(engine::stripe_count(127), 1u);
+  EXPECT_EQ(engine::stripe_count(128), 2u);
+  EXPECT_EQ(engine::stripe_count(300), 4u);
+  EXPECT_EQ(engine::stripe_count(8192), 16u);
+  EXPECT_EQ(engine::stripe_count(std::size_t{1} << 20), 16u);
+  EXPECT_EQ(engine::FrontierCache(300).stats().shards.size(), 4u);
+}
+
+TEST(FrontierCache, SmallCapacityIsOneExactLru) {
+  engine::FrontierCache cache(4);
+  for (std::uint64_t k = 0; k < 64; ++k)
+    cache.insert(k, entry_with({{int(k), int(k)}}));
+  engine::CacheStats s = cache.stats();
+  EXPECT_EQ(s.entries, 4u);
+  EXPECT_EQ(s.evictions, 60u);
+  // The survivors are the four most recent keys, 60..63.  Refreshing the
+  // oldest of them keeps the population and makes it most recent, so the
+  // next insert evicts 61 instead.
+  cache.insert(60, entry_with({{60, 60}}));
+  EXPECT_EQ(cache.stats().entries, 4u);
+  cache.insert(64, entry_with({{64, 64}}));
+  s = cache.stats();
+  EXPECT_EQ(s.entries, 4u);
+  EXPECT_TRUE(cache.find(60, {{60, 60}}).has_value());
+  EXPECT_FALSE(cache.find(61, {{61, 61}}).has_value());
+  for (int k = 62; k <= 64; ++k)
+    EXPECT_TRUE(cache.find(std::uint64_t(k), {{k, k}}).has_value()) << k;
+}
+
+TEST(FrontierCache, CacheEnabledResolvesTheOptionThenTheEnvironment) {
+  const char* env = std::getenv("PATLABOR_CACHE");
+  const std::optional<std::string> saved =
+      env != nullptr ? std::optional<std::string>(env) : std::nullopt;
+  engine::CacheOptions opt;
+  ::setenv("PATLABOR_CACHE", "0", 1);
+  EXPECT_FALSE(engine::cache_enabled(opt));
+  EXPECT_FALSE(engine::Engine(engine::EngineOptions{}).cache_enabled());
+  opt.enabled = true;  // an explicit setting wins over the environment
+  EXPECT_TRUE(engine::cache_enabled(opt));
+  opt.enabled.reset();
+  ::setenv("PATLABOR_CACHE", "1", 1);
+  EXPECT_TRUE(engine::cache_enabled(opt));
+  ::unsetenv("PATLABOR_CACHE");
+  EXPECT_TRUE(engine::cache_enabled(opt));
+  EXPECT_TRUE(engine::Engine(engine::EngineOptions{}).cache_enabled());
+  opt.enabled = false;
+  EXPECT_FALSE(engine::cache_enabled(opt));
+  opt.enabled = true;
+  opt.capacity = 0;  // nothing to cache into
+  EXPECT_FALSE(engine::cache_enabled(opt));
+  if (saved) ::setenv("PATLABOR_CACHE", saved->c_str(), 1);
 }
 
 // ---- MethodRegistry ----
@@ -398,11 +429,11 @@ TEST_F(EngineSuite, CacheOnAndOffAreBitIdenticalAcrossJobs) {
 }
 
 TEST(FrontierCache, ConcurrentReadersAndWritersStayCoherent) {
-  // Hammer the wait-free read path while inserts republish snapshots:
-  // readers must only ever see fully-constructed entries whose pins match
-  // the key they asked for (the TSan pass in scripts/verify.sh runs this
-  // binary).  Keys deliberately collide into few shards.
-  engine::FrontierCache cache(/*capacity=*/32, /*shards=*/2);
+  // Hammer lookups while inserts refresh and evict: readers must only ever
+  // see whole entries whose pins match the key they asked for (the TSan
+  // pass in scripts/verify.sh runs this binary).  At this capacity every
+  // key shares one stripe.
+  engine::FrontierCache cache(/*capacity=*/32);
   std::atomic<std::uint64_t> bad{0};
   std::vector<std::thread> readers;
   // Fixed probe counts (not a stop flag): on a 1-core host the writer can
@@ -472,7 +503,6 @@ TEST_F(EngineSuite, LocalSearchNetsAreCachedByExactPinSequenceOnly) {
 TEST_F(EngineSuite, EvictionKeepsServingCorrectAnswers) {
   engine::EngineOptions opt = options(true);
   opt.cache.capacity = 4;
-  opt.cache.shards = 1;
   const engine::Engine eng(opt);
   util::Rng rng(35);
   std::vector<Net> nets;

@@ -400,13 +400,9 @@ int cmd_route(int argc, char** argv) {
       manifest.input = in;
       manifest.lambda = lambda;
       manifest.jobs = jobs;
-      // Mirror the engine's tri-state: --no-cache wins, else PATLABOR_CACHE.
-      const char* cache_env = std::getenv("PATLABOR_CACHE");
-      manifest.cache_enabled =
-          !no_cache &&
-          (cache_env == nullptr || std::string_view(cache_env) != "0");
+      manifest.cache_enabled = engine::cache_enabled(eopt.cache);
       manifest.cache_capacity = eopt.cache.capacity;
-      manifest.cache_shards = eopt.cache.shards;
+      manifest.cache_shards = engine::stripe_count(eopt.cache.capacity);
       events_sink->write_manifest(manifest);
       eopt.events = events_sink.get();
     }

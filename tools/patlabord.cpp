@@ -145,9 +145,10 @@ int main(int argc, char** argv) {
       manifest.input = options.socket_path;
       manifest.lambda = options.engine.lambda;
       manifest.jobs = options.engine.jobs;
-      manifest.cache_enabled = options.engine.cache.enabled.value_or(true);
+      manifest.cache_enabled = engine::cache_enabled(options.engine.cache);
       manifest.cache_capacity = options.engine.cache.capacity;
-      manifest.cache_shards = options.engine.cache.shards;
+      manifest.cache_shards =
+          engine::stripe_count(options.engine.cache.capacity);
       events->write_manifest(manifest);
       options.engine.events = events.get();
     }
