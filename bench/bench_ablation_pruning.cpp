@@ -52,13 +52,13 @@ int main() {
     lut.generate_degree(degree, v.opts);
     const double secs = timer.seconds();
     const auto& st = lut.stats().at(degree);
-    std::uint64_t dp = 0;
-    (void)dp;
     table.add_row({v.name, util::format_duration(secs),
                    util::with_commas(static_cast<std::int64_t>(st.topologies)),
-                   "-", util::with_commas(st.lp_calls)});
+                   util::with_commas(
+                       static_cast<std::int64_t>(st.dp_solutions)),
+                   util::with_commas(st.lp_calls)});
     csv.row({v.name, io::CsvWriter::num(secs),
-             std::to_string(st.topologies), "0",
+             std::to_string(st.topologies), std::to_string(st.dp_solutions),
              std::to_string(st.lp_calls)});
   }
   table.print("\n[Ablation] LUT generation at degree " +

@@ -34,21 +34,29 @@ namespace {
 //          round reaches the closure because L1 obeys the triangle
 //          inequality), copy entries reference `base` of the same state.
 //
-// Candidate enumeration appends into reused scratch vectors; the surviving
-// subset is committed to the arena in filter order, so a state costs zero
+// Candidates stream into a reused pareto::OnlineStaircase; its survivors
+// are committed to the arena in staircase order, so a state costs zero
 // heap allocations at steady state.  Both arenas live for the whole solve:
 // reconstruction traverses spans of every mask.
+struct MergeRef {
+  std::uint32_t sub = 0;   // one side of the partition; 0 => leaf
+  std::int32_t ia = -1;    // index into final(v, sub)
+  std::int32_t ib = -1;    // index into final(v, mask^sub)
+};
+
+struct GrowRef {
+  NodeId from = -1;        // grow origin; -1 => copy of own base entry
+  std::int32_t idx = -1;   // index into base(from or v, mask)
+};
+
 struct BaseEntry {
   Objective obj;
-  std::uint32_t sub = 0;   // merge: one side of the partition; 0 => leaf
-  std::int32_t ia = -1;    // merge: index into final(v, sub)
-  std::int32_t ib = -1;    // merge: index into final(v, mask^sub)
+  MergeRef ref;
 };
 
 struct FinalEntry {
   Objective obj;
-  NodeId from = -1;        // grow origin; -1 => copy of own base entry
-  std::int32_t idx = -1;   // index into base(from or v, mask)
+  GrowRef ref;
 };
 
 struct State {
@@ -67,9 +75,14 @@ struct DwScratch::Impl {
   std::vector<State> states;
   util::Arena<BaseEntry> base_arena;
   util::Arena<FinalEntry> final_arena;
-  std::vector<BaseEntry> base_scratch;    // merge candidates, reused
-  std::vector<FinalEntry> final_scratch;  // grow candidates, reused
-  pareto::FilterScratch filter_scratch;
+  // Per solve, over the A active positions: dist[a * A + b] is the L1
+  // distance, nearest[a * (A - 1) ...] lists the other positions of a
+  // nearest-first.
+  std::vector<Length> dist;
+  std::vector<std::uint32_t> nearest;
+  std::vector<Objective> corner;  // per position, at the current mask
+  pareto::OnlineStaircase<MergeRef> merge_set;
+  pareto::OnlineStaircase<GrowRef> grow_set;
 };
 
 DwScratch::DwScratch() : impl_(std::make_unique<Impl>()) {}
@@ -110,13 +123,15 @@ class Solver {
   std::uint32_t full_ = 0;
   DwScratch::Impl& s_;  // reusable storage (arenas, states, scratch rows)
   std::uint64_t created_ = 0;
-  std::uint64_t merge_cands_ = 0;  // merge-phase candidates before filtering
-  std::uint64_t grow_cands_ = 0;   // grow-phase candidates before filtering
-  std::uint64_t kept_ = 0;         // entries surviving the Pareto filters
+  std::uint64_t merge_cands_ = 0;   // merge-phase points offered to the kernel
+  std::uint64_t grow_cands_ = 0;    // grow-phase points offered to the kernel
+  std::uint64_t grow_skipped_ = 0;  // grow lists rejected by their corner
+  std::uint64_t kept_ = 0;          // entries surviving the Pareto filters
 };
 
 void Solver::solve_mask(std::uint32_t mask) {
   const std::size_t nsinks = net_.degree() - 1;
+  const std::size_t na = s_.active.size();
 
   // Bounding box of the sinks in `mask` (Lemma 3 restriction).
   BBox bb;
@@ -124,6 +139,9 @@ void Solver::solve_mask(std::uint32_t mask) {
     if (mask & (1u << i)) bb.expand(net_.pins[i + 1]);
 
   // ---- Merge phase (or leaf base case) ----
+  // Candidates are offered in enumeration order under a running key, so
+  // equal objectives resolve to the first-enumerated (sub, a, b).
+  auto& merged = s_.merge_set;
   for (NodeId v : s_.active) {
     const Point pv = grid_.point(v);
     if (options_.bbox_restriction && !bb.contains(pv)) continue;
@@ -132,12 +150,13 @@ void Solver::solve_mask(std::uint32_t mask) {
       const std::size_t i = static_cast<std::size_t>(std::countr_zero(mask));
       const Length len = grid_.dist(v, s_.sink_node[i]);
       const std::uint32_t m = s_.base_arena.mark();
-      s_.base_arena.push_back(BaseEntry{Objective{len, len}, 0, -1, -1});
+      s_.base_arena.push_back(BaseEntry{Objective{len, len}, MergeRef{}});
       st.base = s_.base_arena.since(m);
       ++created_;
       continue;
     }
-    s_.base_scratch.clear();
+    merged.clear();
+    std::uint64_t key = 0;
     const std::uint32_t low = mask & (~mask + 1);
     for (std::uint32_t sub = (mask - 1) & mask; sub > 0;
          sub = (sub - 1) & mask) {
@@ -147,58 +166,74 @@ void Solver::solve_mask(std::uint32_t mask) {
       const auto fb = s_.final_arena.view(state(v, rest).final_);
       for (std::size_t a = 0; a < fa.size(); ++a) {
         for (std::size_t b = 0; b < fb.size(); ++b) {
-          s_.base_scratch.push_back(BaseEntry{
-              Objective{fa[a].obj.w + fb[b].obj.w,
-                        std::max(fa[a].obj.d, fb[b].obj.d)},
-              sub, static_cast<std::int32_t>(a),
-              static_cast<std::int32_t>(b)});
+          merged.insert(Objective{fa[a].obj.w + fb[b].obj.w,
+                                  std::max(fa[a].obj.d, fb[b].obj.d)},
+                        key++,
+                        MergeRef{sub, static_cast<std::int32_t>(a),
+                                 static_cast<std::int32_t>(b)});
         }
       }
     }
-    const auto kept = pareto::filter_indices(
-        s_.base_scratch.size(),
-        [&](std::uint32_t k) -> const Objective& {
-          return s_.base_scratch[k].obj;
-        },
-        s_.filter_scratch);
     const std::uint32_t m = s_.base_arena.mark();
-    for (std::uint32_t k : kept) s_.base_arena.push_back(s_.base_scratch[k]);
+    for (const auto& e : merged.entries())
+      s_.base_arena.push_back(BaseEntry{e.obj, e.payload});
     st.base = s_.base_arena.since(m);
     created_ += st.base.size();
-    merge_cands_ += s_.base_scratch.size();
+    merge_cands_ += key;
     kept_ += st.base.size();
   }
 
   // ---- Grow phase: one L1-closure round from every base set ----
-  for (NodeId v : s_.active) {
-    State& st = state(v, mask);
-    s_.final_scratch.clear();
+  // Ties between equal candidates go to the first in the order "own base,
+  // then each other active node in active order".  The keys encode that
+  // order (own point i -> i; point i shifted from active position pu ->
+  // ((pu + 1) << 32) | i), so visiting origins nearest-first moves no
+  // tie-break.  Near origins make the staircase tight early: a farther
+  // origin's whole list is then usually dominated at its corner (least w,
+  // least d of its base set) and skipped without a single insert.  The
+  // corners of one mask sit in one contiguous row; w < 0 marks an empty
+  // base.
+  for (std::size_t pu = 0; pu < na; ++pu) {
+    const auto ub = s_.base_arena.view(state(s_.active[pu], mask).base);
+    s_.corner[pu] = ub.empty() ? Objective{-1, -1}
+                               : Objective{ub.front().obj.w, ub.back().obj.d};
+  }
+  auto& grown = s_.grow_set;
+  for (std::size_t pv = 0; pv < na; ++pv) {
+    State& st = state(s_.active[pv], mask);
+    grown.clear();
     const auto own = s_.base_arena.view(st.base);
     for (std::size_t i = 0; i < own.size(); ++i)
-      s_.final_scratch.push_back(FinalEntry{own[i].obj, -1,
-                                          static_cast<std::int32_t>(i)});
-    for (NodeId u : s_.active) {
-      if (u == v) continue;
+      grown.insert(own[i].obj, i,
+                   GrowRef{-1, static_cast<std::int32_t>(i)});
+    grow_cands_ += own.size();
+    const std::uint32_t* order = s_.nearest.data() + pv * (na - 1);
+    for (std::size_t k = 0; k + 1 < na; ++k) {
+      const std::uint32_t pu = order[k];
+      const Objective& c = s_.corner[pu];
+      if (c.w < 0) continue;
+      const Length len = s_.dist[pv * na + pu];
+      // Every shifted point is no better than the shifted corner in both
+      // coordinates, so a dominated corner rejects the whole list.
+      if (grown.dominated(Objective{c.w + len, c.d + len})) {
+        ++grow_skipped_;
+        continue;
+      }
+      const NodeId u = s_.active[pu];
       const auto ub = s_.base_arena.view(state(u, mask).base);
-      if (ub.empty()) continue;
-      const Length len = grid_.dist(u, v);
+      const std::uint64_t hi = static_cast<std::uint64_t>(pu + 1) << 32;
       for (std::size_t i = 0; i < ub.size(); ++i) {
         const Objective& o = ub[i].obj;
-        s_.final_scratch.push_back(FinalEntry{Objective{o.w + len, o.d + len},
-                                            u, static_cast<std::int32_t>(i)});
+        grown.insert(Objective{o.w + len, o.d + len}, hi | i,
+                     GrowRef{u, static_cast<std::int32_t>(i)});
       }
+      grow_cands_ += ub.size();
     }
-    const auto kept = pareto::filter_indices(
-        s_.final_scratch.size(),
-        [&](std::uint32_t k) -> const Objective& {
-          return s_.final_scratch[k].obj;
-        },
-        s_.filter_scratch);
     const std::uint32_t m = s_.final_arena.mark();
-    for (std::uint32_t k : kept) s_.final_arena.push_back(s_.final_scratch[k]);
+    for (const auto& e : grown.entries())
+      s_.final_arena.push_back(FinalEntry{e.obj, e.payload});
     st.final_ = s_.final_arena.since(m);
     created_ += st.final_.size();
-    grow_cands_ += s_.final_scratch.size();
     kept_ += st.final_.size();
   }
 }
@@ -208,14 +243,14 @@ void Solver::reconstruct_base(
     std::vector<std::pair<Point, Point>>& edges) const {
   const BaseEntry& e =
       s_.base_arena.at(state(v, mask).base, static_cast<std::uint32_t>(idx));
-  if (e.sub == 0) {
+  if (e.ref.sub == 0) {
     const std::size_t i = static_cast<std::size_t>(std::countr_zero(mask));
     const NodeId s = s_.sink_node[i];
     if (s != v) edges.emplace_back(grid_.point(v), grid_.point(s));
     return;
   }
-  reconstruct_final(v, e.sub, e.ia, edges);
-  reconstruct_final(v, mask ^ e.sub, e.ib, edges);
+  reconstruct_final(v, e.ref.sub, e.ref.ia, edges);
+  reconstruct_final(v, mask ^ e.ref.sub, e.ref.ib, edges);
 }
 
 void Solver::reconstruct_final(
@@ -223,12 +258,12 @@ void Solver::reconstruct_final(
     std::vector<std::pair<Point, Point>>& edges) const {
   const FinalEntry& e =
       s_.final_arena.at(state(v, mask).final_, static_cast<std::uint32_t>(idx));
-  if (e.from < 0) {
-    reconstruct_base(v, mask, e.idx, edges);
+  if (e.ref.from < 0) {
+    reconstruct_base(v, mask, e.ref.idx, edges);
     return;
   }
-  edges.emplace_back(grid_.point(v), grid_.point(e.from));
-  reconstruct_base(e.from, mask, e.idx, edges);
+  edges.emplace_back(grid_.point(v), grid_.point(e.ref.from));
+  reconstruct_base(e.ref.from, mask, e.ref.idx, edges);
 }
 
 ParetoDwResult Solver::run() {
@@ -244,6 +279,26 @@ ParetoDwResult Solver::run() {
   if (options_.corner_pruning) prunable = grid_.corner_prunable(net_.pins);
   for (NodeId v = 0; v < grid_.num_nodes(); ++v)
     if (!prunable[static_cast<std::size_t>(v)]) s_.active.push_back(v);
+
+  // Active x active distances, and each position's others nearest-first
+  // (ties by active position), for the grow phase.
+  const std::size_t na = s_.active.size();
+  s_.dist.resize(na * na);
+  for (std::size_t a = 0; a < na; ++a)
+    for (std::size_t b = 0; b < na; ++b)
+      s_.dist[a * na + b] = grid_.dist(s_.active[a], s_.active[b]);
+  s_.corner.resize(na);
+  s_.nearest.resize(na * (na - 1));
+  for (std::size_t a = 0; a < na; ++a) {
+    std::uint32_t* row = s_.nearest.data() + a * (na - 1);
+    std::size_t k = 0;
+    for (std::size_t b = 0; b < na; ++b)
+      if (b != a) row[k++] = static_cast<std::uint32_t>(b);
+    const Length* da = s_.dist.data() + a * na;
+    std::sort(row, row + (na - 1), [da](std::uint32_t x, std::uint32_t y) {
+      return da[x] != da[y] ? da[x] < da[y] : x < y;
+    });
+  }
 
   s_.sink_node.resize(nsinks);
   for (std::size_t i = 0; i < nsinks; ++i)
@@ -281,6 +336,7 @@ ParetoDwResult Solver::run() {
   PL_COUNT("dw.states_expanded", created_);
   PL_COUNT("dw.merge_candidates", merge_cands_);
   PL_COUNT("dw.grow_candidates", grow_cands_);
+  PL_COUNT("dw.grow_lists_skipped", grow_skipped_);
   PL_COUNT("pareto.points_filtered", merge_cands_ + grow_cands_ - kept_);
   PL_HIST("dw.frontier_size", result.frontier.size());
   return result;

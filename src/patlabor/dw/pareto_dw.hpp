@@ -27,8 +27,9 @@
 namespace patlabor::dw {
 
 /// Reusable cross-solve state storage for pareto_dw: the DP state table,
-/// both entry arenas, candidate scratch rows, and the Pareto filter
-/// scratch, kept at grown capacity between solves.  Opaque on purpose (the
+/// both entry arenas, the grow phase's distance and nearest-first tables,
+/// and the two online staircase sets, kept at grown capacity between
+/// solves.  Opaque on purpose (the
 /// entry types are solver-internal).  Typical use is one instance per
 /// worker thread — e.g. par::WorkerContext::current().get<dw::DwScratch>()
 /// — handed to every pareto_dw call on that thread, which removes the

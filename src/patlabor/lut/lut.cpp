@@ -183,6 +183,7 @@ void LookupTable::generate_degree_impl(int degree,
   PL_COUNT("lut.gen_indices", st.indices);
   PL_COUNT("lut.gen_topologies", st.topologies);
   PL_COUNT("lut.gen_lp_calls", static_cast<std::uint64_t>(st.lp_calls));
+  PL_COUNT("lut.gen_dp_solutions", st.dp_solutions);
 }
 
 void LookupTable::merge_pattern(const PinPattern& pat,
@@ -190,6 +191,7 @@ void LookupTable::merge_pattern(const PinPattern& pat,
                                 DegreeStats& st, TableBuilder& builder) {
   const int degree = pat.n;
   st.lp_calls += sols.lp_calls;
+  st.dp_solutions += sols.dp_solutions;
   std::vector<RankTopology> stored;
   for (int s = 0; s < degree; ++s) {
     PinPattern keyed = pat;

@@ -45,6 +45,10 @@ struct DegreeStats {
   std::uint64_t patterns = 0;     ///< canonical patterns (DP runs)
   std::uint64_t topologies = 0;   ///< total stored topologies
   std::int64_t lp_calls = 0;      ///< exact LP dominance proofs
+  /// DP solutions the parametric DW created.  Counted in memory only: it
+  /// is not stored in the table or a checkpoint, so it reads 0 for a
+  /// loaded table and covers only this run's patterns after a resume.
+  std::uint64_t dp_solutions = 0;
   double gen_seconds = 0.0;       ///< wall-clock generation time
   std::uint64_t bytes = 0;        ///< serialized size of this degree's slice
 

@@ -17,15 +17,19 @@
 // The three frontier operations of Eq. (1) exist as in-place kernels —
 // filter (Pareto(·)), shift (S + x), merge (S ⊕ S') — reusing
 // caller-provided FilterScratch buffers, so DP inner loops run without
-// per-call heap allocations.  The pure functions in pareto_set.hpp remain
-// as reference implementations (and are cross-checked against these
-// kernels by randomized property tests).
+// per-call heap allocations.  OnlineStaircase is the streaming form of
+// filter for DP steps whose candidates are mostly dominated: it keeps the
+// same survivors without materializing or sorting the candidate list.
+// The pure functions in pareto_set.hpp remain as reference
+// implementations (and are cross-checked against these kernels by
+// randomized property tests).
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <ostream>
 #include <span>
@@ -74,6 +78,81 @@ std::span<const std::uint32_t> filter_indices(std::size_t n, ObjAt&& obj_at,
   }
   return scratch.kept;
 }
+
+/// Online form of Pareto(·): a staircase that takes candidates one at a
+/// time instead of sorting a list of them.  Each candidate carries a key
+/// and a payload.  After any sequence of insert() calls the set holds
+/// exactly the points filter_indices() would keep over the same
+/// candidates, in the same (staircase) order, and each survivor is the
+/// candidate of lowest key among equal objectives — so with keys that
+/// follow candidate order the two kernels agree survivor for survivor,
+/// whatever order the candidates arrive in.  Both insert() and
+/// dominated() binary-search the staircase; most candidates of a DP step
+/// are rejected there without touching the set.  clear() keeps capacity,
+/// so a reused instance allocates nothing at steady state.
+template <typename Payload>
+class OnlineStaircase {
+ public:
+  struct Entry {
+    Objective obj;
+    std::uint64_t key = 0;
+    Payload payload{};
+  };
+
+  void clear() { entries_.clear(); }
+  /// Survivors in staircase order (w strictly ascending, d descending).
+  std::span<const Entry> entries() const { return entries_; }
+
+  /// True when some point of the set dominates `c` (is no worse in both
+  /// coordinates and differs from it): inserting `c`, or any point no
+  /// better than `c` in both coordinates, would then change nothing.
+  bool dominated(const Objective& c) const {
+    // The last point with w <= c.w has the least d among all of them.
+    auto it = std::upper_bound(
+        entries_.begin(), entries_.end(), c.w,
+        [](Length w, const Entry& e) { return w < e.obj.w; });
+    if (it == entries_.begin()) return false;
+    --it;
+    return it->obj.d < c.d || (it->obj.d == c.d && it->obj.w < c.w);
+  }
+
+  /// Offers one candidate.  It is rejected when a point of the set
+  /// dominates it; an equal point keeps whichever of the two has the lower
+  /// key; otherwise it enters at its place and evicts the points it
+  /// dominates.
+  void insert(const Objective& obj, std::uint64_t key,
+              const Payload& payload) {
+    auto first = std::lower_bound(
+        entries_.begin(), entries_.end(), obj.w,
+        [](const Entry& e, Length w) { return e.obj.w < w; });
+    // The predecessor has the least d among the points of smaller w.
+    if (first != entries_.begin() && std::prev(first)->obj.d <= obj.d)
+      return;
+    if (first != entries_.end() && first->obj.w == obj.w) {
+      if (first->obj.d < obj.d) return;
+      if (first->obj.d == obj.d) {
+        if (key < first->key) {
+          first->key = key;
+          first->payload = payload;
+        }
+        return;
+      }
+    }
+    // Every point from `first` on has w >= obj.w; the run of those with
+    // d >= obj.d is exactly what `obj` dominates.
+    auto last = first;
+    while (last != entries_.end() && last->obj.d >= obj.d) ++last;
+    if (first == last) {
+      entries_.insert(first, Entry{obj, key, payload});
+    } else {
+      *first = Entry{obj, key, payload};
+      entries_.erase(first + 1, last);
+    }
+  }
+
+ private:
+  std::vector<Entry> entries_;
+};
 
 class SolutionSet {
  public:

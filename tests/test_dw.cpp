@@ -5,6 +5,7 @@
 
 #include "patlabor/dw/pareto_dw.hpp"
 #include "patlabor/geom/hanan.hpp"
+#include "patlabor/netgen/netgen.hpp"
 #include "patlabor/rsma/rsma.hpp"
 #include "patlabor/rsmt/rsmt.hpp"
 #include "test_util.hpp"
@@ -230,6 +231,47 @@ TEST(DwScratch, ReuseAcrossSolvesIsInvisibleToResults) {
       EXPECT_EQ(reused.trees[i].structural_hash(),
                 fresh.trees[i].structural_hash());
   }
+}
+
+// Identity golden: one digest over the frontier points, the reconstructed
+// trees' structural hashes and solutions_created of seeded clustered nets
+// of degree 7-10, under all four pruning combinations, with and without a
+// reused scratch.  The value was recorded with the sort-based frontier
+// filter; the online staircase kernel must reproduce it bit for bit, so
+// any moved tie-break (which tree represents a tied frontier point, or
+// which of two equal candidates survives) fails here.  The small-window
+// nets put many pins on shared rows and columns, where ties abound.
+TEST(DwIdentity, GoldenDigestOfFrontiersAndTrees) {
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over 64-bit words
+  const auto mix = [&](std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ull;
+  };
+  util::Rng rng(2025);
+  dw::DwScratch scratch;
+  for (std::size_t degree = 7; degree <= 10; ++degree) {
+    for (const geom::Coord window : {geom::Coord{100000}, geom::Coord{40}}) {
+      const Net net = netgen::clustered_net(rng, degree, window);
+      for (const bool corner : {false, true}) {
+        for (const bool bbox : {false, true}) {
+          for (const bool reuse : {false, true}) {
+            dw::ParetoDwOptions o;
+            o.corner_pruning = corner;
+            o.bbox_restriction = bbox;
+            const auto r = dw::pareto_dw(net, o, reuse ? &scratch : nullptr);
+            mix(r.solutions_created);
+            mix(r.frontier.size());
+            for (const Objective& p : r.frontier) {
+              mix(static_cast<std::uint64_t>(p.w));
+              mix(static_cast<std::uint64_t>(p.d));
+            }
+            for (const auto& t : r.trees) mix(t.structural_hash());
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(h, 0x0b3dff527bbe65c5ull) << std::hex << "digest 0x" << h;
 }
 
 }  // namespace

@@ -140,6 +140,10 @@ TEST_F(LutSuite, StatsArePopulated) {
   EXPECT_GT(st.at(4).indices, 0u);
   EXPECT_GT(st.at(4).topologies, st.at(4).indices);  // > 1 topo per index
   EXPECT_GT(st.at(5).indices, st.at(4).indices);     // factorial growth
+  // Every stored topology is one of the DP's solutions, and far from all
+  // of them survive.
+  EXPECT_GT(st.at(4).dp_solutions, st.at(4).topologies);
+  EXPECT_GT(st.at(5).dp_solutions, st.at(5).topologies);
 }
 
 TEST_F(LutSuite, QueryMatchesNumericDwDegree4And5) {

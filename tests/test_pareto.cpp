@@ -250,6 +250,53 @@ TEST_P(SolutionSetProperty, MergeMatchesParetoSumAndBruteForce) {
   EXPECT_EQ(out, brute_force_filter(cross));
 }
 
+// The online kernel must keep exactly filter_indices' survivors, in its
+// order, whatever order the candidates arrive in.  The candidate lists are
+// built to hold exact duplicates and ties in one coordinate only.
+TEST_P(SolutionSetProperty, OnlineStaircaseMatchesFilterIndices) {
+  util::Rng rng(static_cast<std::uint64_t>(1300 + GetParam()));
+  ObjVec pts = random_points(rng, 60, 20);
+  const std::size_t base = pts.size();
+  for (std::size_t k = 0; k < base / 3; ++k) {
+    const Objective p = pts[rng.index(base)];
+    pts.push_back(p);                                  // exact duplicate
+    pts.push_back({p.w, rng.uniform_int(0, 20)});      // tie in w only
+    pts.push_back({rng.uniform_int(0, 20), p.d});      // tie in d only
+  }
+  pareto::FilterScratch scratch;
+  const auto ref = pareto::filter_indices(
+      pts.size(), [&](std::uint32_t i) -> const Objective& { return pts[i]; },
+      scratch);
+
+  std::vector<std::uint32_t> arrival(pts.size());
+  for (std::uint32_t i = 0; i < arrival.size(); ++i) arrival[i] = i;
+  rng.shuffle(arrival);
+  pareto::OnlineStaircase<std::uint32_t> online;
+  for (std::uint32_t i : arrival) online.insert(pts[i], i, i);
+
+  const auto got = online.entries();
+  ASSERT_EQ(got.size(), ref.size());
+  for (std::size_t k = 0; k < ref.size(); ++k) {
+    EXPECT_EQ(got[k].key, ref[k]) << "position " << k;
+    EXPECT_EQ(got[k].payload, ref[k]) << "position " << k;
+    EXPECT_EQ(got[k].obj, pts[ref[k]]) << "position " << k;
+  }
+
+  // dominated(c) <=> some candidate dominates c (a linear scan).
+  for (int q = 0; q < 200; ++q) {
+    const Objective c{rng.uniform_int(-1, 22), rng.uniform_int(-1, 22)};
+    const bool expect = std::any_of(
+        pts.begin(), pts.end(),
+        [&](const Objective& p) { return pareto::dominates(p, c); });
+    EXPECT_EQ(online.dominated(c), expect) << c.w << "," << c.d;
+  }
+
+  // clear() empties the set for reuse.
+  online.clear();
+  EXPECT_TRUE(online.entries().empty());
+  EXPECT_FALSE(online.dominated(Objective{100, 100}));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SolutionSetProperty, ::testing::Range(0, 25));
 
 TEST(SolutionSet, SelectRecordsPayloadIndices) {

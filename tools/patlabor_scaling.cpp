@@ -306,21 +306,24 @@ int main(int argc, char** argv) {
       if (jobs[i] == j) return speedup[i];
     return -1.0;
   };
+  // The speedup verdict is kept apart from the attribution verdict (`ok`): a
+  // missed bar says nothing about whether the wall clock was accounted for.
   const double s4 = speedup_at(4), s8 = speedup_at(8);
+  bool speedup_ok = true;
   if (workload == "large" && host_cores >= 4) {
     if (s4 < min_speedup) {
       std::printf("FAIL: speedup %.2f at jobs=4 is below the %.2f bar "
                   "(workload \"large\", %g host cores)\n",
                   s4, min_speedup, host_cores);
-      ok = false;
+      speedup_ok = false;
     }
     if (s8 >= 0 && s4 >= 0 && s8 < 0.95 * s4) {
       std::printf("FAIL: speedup regresses from %.2f at jobs=4 to %.2f at "
                   "jobs=8 (allowed slack 5%%)\n",
                   s4, s8);
-      ok = false;
+      speedup_ok = false;
     }
-    if (ok && !quiet)
+    if (speedup_ok && !quiet)
       std::printf("speedup gate PASS: %.2f at jobs=4 (bar %.2f), %.2f at "
                   "jobs=8\n",
                   s4, min_speedup, s8);
@@ -344,5 +347,5 @@ int main(int argc, char** argv) {
                 last.shard_wait_max, last.cache_wait_us, last.jobs);
     std::printf("\nattribution %s\n", ok ? "OK" : "MALFORMED");
   }
-  return ok ? 0 : 1;
+  return ok && speedup_ok ? 0 : 1;
 }
