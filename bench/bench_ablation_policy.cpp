@@ -63,7 +63,8 @@ int main() {
   const double train_secs = train_timer.seconds();
 
   io::AsciiTable table_out({"Policy", "Mean normalized hypervolume"});
-  io::CsvWriter csv("ablation_policy.csv", {"policy", "hypervolume"});
+  io::CsvWriter csv(bench::out_path("ablation_policy.csv"),
+                    {"policy", "hypervolume"});
   const struct {
     const char* name;
     const core::Policy* policy;
@@ -88,6 +89,7 @@ int main() {
                      util::fixed(d.mean_hypervolume_gain, 4)});
   weights.print("\n[Trainer] curriculum-learned weights (train time " +
                 util::format_duration(train_secs) + ")");
-  std::printf("\nCSV: ablation_policy.csv\n");
+  std::printf("\nCSV: %s\n",
+              bench::out_path("ablation_policy.csv").c_str());
   return 0;
 }

@@ -43,7 +43,7 @@ int main() {
 
   io::AsciiTable table({"Variant", "Time", "Stored topos", "DP solutions",
                         "LP calls"});
-  io::CsvWriter csv("ablation_pruning.csv",
+  io::CsvWriter csv(bench::out_path("ablation_pruning.csv"),
                     {"variant", "seconds", "topologies", "dp_solutions",
                      "lp_calls"});
   for (const Variant& v : variants) {
@@ -88,6 +88,7 @@ int main() {
   std::printf("\nExpected: every lemma strictly reduces time and/or table "
               "size; results are provably identical (see "
               "tests/test_lut.cpp, tests/test_dw.cpp).\n"
-              "CSV: ablation_pruning.csv\n");
+              "CSV: %s\n",
+              bench::out_path("ablation_pruning.csv").c_str());
   return 0;
 }

@@ -118,7 +118,7 @@ int main() {
   std::printf("cold/warm/nocache bit-identical: %s\n",
               identical ? "yes" : "NO — DETERMINISM VIOLATION");
 
-  io::CsvWriter csv("engine_cache.csv",
+  io::CsvWriter csv(bench::out_path("engine_cache.csv"),
                     {"pass", "nets", "seconds", "hit_rate"});
   csv.row({"cold", std::to_string(nets.size()), io::CsvWriter::num(cold_s),
            io::CsvWriter::num(cold_hit_rate)});

@@ -26,7 +26,7 @@ int main() {
 
   std::vector<double> xs, ys;
   io::AsciiTable out({"Degree", "Max |frontier|", "Mean", "Paper fit"});
-  io::CsvWriter csv("frontier_size.csv",
+  io::CsvWriter csv(bench::out_path("frontier_size.csv"),
                     {"degree", "max_frontier", "mean_frontier"});
   for (std::size_t degree = 4; degree <= 9; ++degree) {
     const auto mx = stats.max_by_degree().at(degree);
@@ -44,7 +44,8 @@ int main() {
             std::to_string(nets_per_degree) + " ICCAD-like nets per degree");
   std::printf("\nLinear fit: y = %.2f x %+.1f   (paper: y = 2.85x - 10.9 on "
               "1.3M nets; slope shape is the claim, absolute maxima scale "
-              "with sample size)\nCSV: frontier_size.csv\n",
-              fit.slope, fit.intercept);
+              "with sample size)\nCSV: %s\n",
+              fit.slope, fit.intercept,
+              bench::out_path("frontier_size.csv").c_str());
   return 0;
 }

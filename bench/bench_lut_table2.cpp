@@ -26,7 +26,7 @@ int main() {
 
   io::AsciiTable table({"Degree", "#Index", "#Topo", "Size (MB)", "Time",
                         "paper #Index", "paper #Topo", "paper Time"});
-  io::CsvWriter csv("lut_table2.csv",
+  io::CsvWriter csv(bench::out_path("lut_table2.csv"),
                     {"degree", "indices", "patterns", "avg_topologies",
                      "size_mb", "gen_seconds", "lp_calls"});
 
@@ -68,8 +68,9 @@ int main() {
               "used 16 cores and depth 9)");
   std::printf("\nStored topologies: %s; our canonicalization merges more "
               "symmetric indices than the paper's, so #Index rows are "
-              "smaller at equal coverage.\nCSV: lut_table2.csv\n",
+              "smaller at equal coverage.\nCSV: %s\n",
               util::with_commas(static_cast<std::int64_t>(total_topos))
-                  .c_str());
+                  .c_str(),
+              bench::out_path("lut_table2.csv").c_str());
   return 0;
 }

@@ -32,7 +32,7 @@ int main() {
   io::AsciiTable table({"Degree", "Topologies", "T(1 job)",
                         "T(" + std::to_string(bench_jobs) + " jobs)",
                         "Speedup", "Topo/s", "x FLUTE rate", "Allocs/topo"});
-  io::CsvWriter csv("lutgen_speed.csv",
+  io::CsvWriter csv(bench::out_path("lutgen_speed.csv"),
                     {"degree", "topologies", "seconds", "topo_per_sec",
                      "seconds_par", "jobs", "speedup", "dp_allocs",
                      "allocs_per_topo", "peak_rss_kb"});
@@ -118,7 +118,8 @@ int main() {
   std::printf("Peak RSS: %ld KiB\n", bench::peak_rss_kb());
   std::printf("Paper claims ~441x per-topology speedup over FLUTE "
               "(its own table is richer per entry: source-dependent, "
-              "bi-objective).\nCSV: lutgen_speed.csv\n");
+              "bi-objective).\nCSV: %s\n",
+              bench::out_path("lutgen_speed.csv").c_str());
   json.write();
   return deterministic && alloc_bar_ok ? 0 : 1;
 }

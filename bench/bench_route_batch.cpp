@@ -188,6 +188,7 @@ int run_scaling_sweep(bool large) {
   // side and used to report negative overhead.
   auto timed_run = [&](bool obs_on) {
     obs::set_enabled(obs_on);
+    if (obs_on) obs::clear_trace();  // the "on" side records spans too
     engine::EngineOptions eopt;
     eopt.table = &table;
     eopt.lambda = 7;

@@ -14,7 +14,7 @@ int main() {
   for (double k : kappas) header.push_back(util::fixed(k, 0));
   header.push_back("max seen");
   io::AsciiTable table(header);
-  io::CsvWriter csv("smoothed.csv",
+  io::CsvWriter csv(bench::out_path("smoothed.csv"),
                     {"degree", "kappa", "mean_frontier", "max_frontier"});
 
   dw::ParetoDwOptions opts;
@@ -47,6 +47,7 @@ int main() {
   std::printf("\nPaper: E[|frontier|] = O(n^3 * kappa) — growth in every "
               "row (kappa) and column (n) should look polynomial, nowhere "
               "near the adversarial sizes of bench_theorem1.\n"
-              "CSV: smoothed.csv\n");
+              "CSV: %s\n",
+              bench::out_path("smoothed.csv").c_str());
   return 0;
 }

@@ -26,8 +26,9 @@ int main() {
 
   io::AsciiTable out({"n", "#Net", "PatLabor", "YSD*", "SALT", "paper YSD",
                       "paper SALT"});
-  io::CsvWriter csv("table3.csv", {"degree", "nets", "patlabor_nonopt",
-                                   "ysd_nonopt", "salt_nonopt"});
+  io::CsvWriter csv(bench::out_path("table3.csv"),
+                    {"degree", "nets", "patlabor_nonopt", "ysd_nonopt",
+                     "salt_nonopt"});
   std::size_t total_nets = 0, total_ysd = 0, total_salt = 0, total_pl = 0;
   for (std::size_t degree = 4; degree <= 9; ++degree) {
     const auto& rp = study.patlabor.rows().at(degree);
@@ -58,7 +59,8 @@ int main() {
   std::printf("\n* YSD is the weighted-sum stand-in of DESIGN.md §6 (no "
               "GPU/NN offline).\nExpected shape: PatLabor exactly 0%%; "
               "baselines degrade with degree.\nRuntime: PatLabor %.1fs, "
-              "YSD %.1fs, SALT %.1fs.\nCSV: table3.csv\n",
-              study.patlabor_seconds, study.ysd_seconds, study.salt_seconds);
+              "YSD %.1fs, SALT %.1fs.\nCSV: %s\n",
+              study.patlabor_seconds, study.ysd_seconds, study.salt_seconds,
+              bench::out_path("table3.csv").c_str());
   return 0;
 }

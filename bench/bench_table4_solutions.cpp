@@ -15,7 +15,7 @@ int main() {
 
   io::AsciiTable out({"n", "PatLabor", "YSD*", "SALT", "YSD/PL", "SALT/PL",
                       "paper YSD/PL", "paper SALT/PL"});
-  io::CsvWriter csv("table4.csv",
+  io::CsvWriter csv(bench::out_path("table4.csv"),
                     {"degree", "frontier_total", "ysd_found", "salt_found"});
 
   // Paper ratios per degree, derived from Table IV counts.
@@ -65,6 +65,7 @@ int main() {
   std::printf("\n* YSD is the weighted-sum stand-in of DESIGN.md §6."
               "\nExpected shape: PatLabor finds every solution (ratio 1); "
               "baseline ratios fall with degree, mirroring the paper's "
-              "0.898 / 0.893 totals.\nCSV: table4.csv\n");
+              "0.898 / 0.893 totals.\nCSV: %s\n",
+              bench::out_path("table4.csv").c_str());
   return 0;
 }

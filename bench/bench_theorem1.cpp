@@ -26,7 +26,7 @@ int main() {
 
   io::AsciiTable table(
       {"Degree", "Adversarial |S|", "Uniform max |S|", "Ratio"});
-  io::CsvWriter csv("theorem1.csv",
+  io::CsvWriter csv(bench::out_path("theorem1.csv"),
                     {"degree", "adversarial", "uniform_max", "ratio"});
 
   const std::size_t random_nets = util::scaled_count(60);
@@ -74,6 +74,7 @@ int main() {
   std::printf("\nPaper: worst-case frontier is 2^Omega(n) (Theorem 1) while "
               "smoothed instances stay polynomial (Theorem 2).\n"
               "Adversarial sizes should grow sharply with degree and exceed "
-              "the uniform maxima.\nCSV: theorem1.csv\n");
+              "the uniform maxima.\nCSV: %s\n",
+              bench::out_path("theorem1.csv").c_str());
   return 0;
 }

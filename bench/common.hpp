@@ -3,7 +3,7 @@
 // Every harness:
 //   * scales its instance counts by the REPRO_SCALE env var (default 1.0),
 //   * prints a paper-style ASCII table to stdout,
-//   * writes a CSV next to the current working directory,
+//   * writes its CSV (and any SVG / JSON) under out_dir() below,
 //   * reuses one on-disk lookup-table cache (patlabor_lut_cache.bin under
 //     PATLABOR_BENCH_OUT, default bench/out/) so the ~20 s degree-6
 //     generation is paid once per checkout.
@@ -25,8 +25,8 @@ namespace patlabor::bench {
 
 /// Directory for new bench artifacts (BENCH_*.json, CSVs, SVGs, phase
 /// reports): PATLABOR_BENCH_OUT if set, else bench/out/ under the CWD,
-/// created on first use.  Historical result files tracked at the repo root
-/// are left where they are; only freshly produced artifacts land here.
+/// created on first use.  The outputs of earlier full runs are committed
+/// under results/ at the repo root.
 inline const std::string& out_dir() {
   static const std::string dir = [] {
     const char* env = std::getenv("PATLABOR_BENCH_OUT");
@@ -56,12 +56,15 @@ inline const std::string& lut_cache_path() {
 }
 
 /// True when the PATLABOR_OBS env var (any value but "" / "0") asks benches
-/// to record telemetry; evaluated once, enabling the obs runtime before
-/// main() so every phase of the harness is covered.
+/// to record telemetry; evaluated once, enabling the obs runtime and
+/// opening a trace before main() so every phase of the harness is covered.
 inline const bool kObsRequested = [] {
   const char* v = std::getenv("PATLABOR_OBS");
   const bool on = v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-  if (on) obs::set_enabled(true);
+  if (on) {
+    obs::clear_trace();
+    obs::set_enabled(true);
+  }
   return on;
 }();
 

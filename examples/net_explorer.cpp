@@ -5,9 +5,12 @@
 //
 //   $ ./net_explorer [netfile] [index]
 //
-// Without arguments a degree-9 clustered net is generated.
+// Without arguments a degree-9 clustered net is generated.  The SVGs land
+// in examples/out/ under the working directory, created on first use.
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <string>
 
 #include "patlabor/patlabor.hpp"
 
@@ -63,11 +66,15 @@ int main(int argc, char** argv) {
                 static_cast<long long>(s.d));
   std::printf("\n");
 
+  const std::string out_dir = "examples/out";
+  std::filesystem::create_directories(out_dir);
   // Fig. 2-style renders: min-wirelength, min-delay, and a balanced tree.
   if (!exact.trees.empty()) {
-    io::write_file("net_min_wirelength.svg", io::tree_svg(exact.trees.front()));
-    io::write_file("net_min_delay.svg", io::tree_svg(exact.trees.back()));
-    io::write_file("net_balanced.svg",
+    io::write_file(out_dir + "/net_min_wirelength.svg",
+                   io::tree_svg(exact.trees.front()));
+    io::write_file(out_dir + "/net_min_delay.svg",
+                   io::tree_svg(exact.trees.back()));
+    io::write_file(out_dir + "/net_balanced.svg",
                    io::tree_svg(exact.trees[exact.trees.size() / 2]));
   }
   const double w_norm = static_cast<double>(rsmt::rsmt(net).wirelength());
@@ -77,8 +84,9 @@ int main(int argc, char** argv) {
       {"SALT", pareto::normalize(salt_front, w_norm, d_norm)},
       {"YSD*", pareto::normalize(ysd_front, w_norm, d_norm)},
       {"PD-II", pareto::normalize(pd_front, w_norm, d_norm)}};
-  io::write_file("net_frontier.svg", io::curves_svg(curves));
-  std::printf("\nSVGs written: net_frontier.svg, net_min_wirelength.svg, "
-              "net_min_delay.svg, net_balanced.svg\n");
+  io::write_file(out_dir + "/net_frontier.svg", io::curves_svg(curves));
+  std::printf("\nSVGs written to %s/: net_frontier.svg, "
+              "net_min_wirelength.svg, net_min_delay.svg, net_balanced.svg\n",
+              out_dir.c_str());
   return 0;
 }

@@ -4,8 +4,10 @@
 //   $ ./quickstart
 //
 // This is the 60-second tour of the public API; see net_explorer.cpp and
-// global_router.cpp for realistic scenarios.
+// global_router.cpp for realistic scenarios.  The knee tree's SVG lands in
+// examples/out/ under the working directory, created on first use.
 #include <cstdio>
+#include <filesystem>
 
 #include "patlabor/patlabor.hpp"
 
@@ -53,7 +55,11 @@ int main() {
       knee = i;
     }
   }
-  io::write_file("quickstart_knee.svg", io::tree_svg(result.trees[knee]));
-  std::printf("\nknee solution #%zu rendered to quickstart_knee.svg\n", knee);
+  std::filesystem::create_directories("examples/out");
+  io::write_file("examples/out/quickstart_knee.svg",
+                 io::tree_svg(result.trees[knee]));
+  std::printf("\nknee solution #%zu rendered to "
+              "examples/out/quickstart_knee.svg\n",
+              knee);
   return 0;
 }

@@ -5,6 +5,7 @@
 # the obsdiff regression gate (two-run self-compare + perturbed-seed
 # failure path, under PATLABOR_OBS ON and OFF builds), the metric-catalog
 # lint (every registered metric name documented in DESIGN.md §6.2), the
+# phase-table gate (no negative self time in `route --stats`), the
 # LUT storage gates (mmap vs heap byte-identity, kill-and-resume lutgen
 # hash match, the bench_lut_load attach-speed + page-sharing bars, two
 # concurrent daemons on one mmap'd table), the
@@ -27,7 +28,8 @@
 #   scripts/verify.sh            # everything (10k-net scaling sweep)
 #   scripts/verify.sh --quick    # tier-1 build + ctest + the 36-net smoke
 #                                # sweep and attribution check + the daemon
-#                                # smoke and obsdiff-over-daemon gates (no
+#                                # smoke, obsdiff-over-daemon, LUT storage
+#                                # and phase-table gates (no
 #                                # 10k sweep, no sanitizer passes, no
 #                                # CLI-level obsdiff / OBS=OFF builds)
 #   scripts/verify.sh --no-tsan  # skip the TSan pass
@@ -193,6 +195,36 @@ serve_obsdiff() {
   rm -rf "$dir"
 }
 
+# Phase-table gate: a span must nest under the span that encloses it, or
+# aggregation charges its time to the parent twice and the parent's self
+# time goes negative.  `route --stats` over a mixed-degree file (exact and
+# local-search nets) must show no phase row with a negative self time, at
+# one lane and at four.
+phase_self_gate() {
+  echo "== phase tables: route --stats has no negative self time (jobs 1, 4) =="
+  local dir jobs
+  dir="$(mktemp -d)"
+  ./build/tools/patlabor_cli gen clustered 30 7 "$dir/a.nets" 3 > /dev/null
+  ./build/tools/patlabor_cli gen clustered 10 12 "$dir/b.nets" 4 > /dev/null
+  cat "$dir/a.nets" "$dir/b.nets" > "$dir/mixed.nets"
+  for jobs in 1 4; do
+    ./build/tools/patlabor_cli route "$dir/mixed.nets" --jobs "$jobs" \
+      --stats > "$dir/stats.txt"
+    grep -q '| pool.task ' "$dir/stats.txt" || {
+      echo "route --stats --jobs $jobs: no phase table"
+      cat "$dir/stats.txt"
+      exit 1
+    }
+    # Phase rows split on '|' into 7 fields; the 5th is the self time.
+    if awk -F'|' 'NF == 7 && $5 ~ /^ *-[0-9]/ { print; bad = 1 }
+                  END { exit bad ? 0 : 1 }' "$dir/stats.txt"; then
+      echo "route --stats --jobs $jobs: negative self time in the rows above"
+      exit 1
+    fi
+  done
+  rm -rf "$dir"
+}
+
 # LUT storage gate (quick part): one table file must answer identically
 # through every backend — mmap-by-default routing vs the forced heap
 # parse — and `lut info` must agree with itself on the content hash.
@@ -313,6 +345,7 @@ if [[ $quick -eq 1 ]]; then
   serve_smoke
   serve_obsdiff
   lut_storage_gate
+  phase_self_gate
   echo "verify: OK (quick)"
   exit 0
 fi
@@ -320,6 +353,7 @@ fi
 serve_smoke
 serve_obsdiff
 lut_storage_gate
+phase_self_gate
 lut_resume_gate
 
 echo "== lut storage bench: heap vs mmap attach + cross-process sharing =="

@@ -228,7 +228,7 @@ std::vector<RouteResponse> Engine::route_batch_impl(
   par::ThreadPool& nested = par::inline_pool();
   obs::EventSink* sink = event_sink();
   if (sink == nullptr)
-    return par::parallel_transform_sharded(
+    return par::parallel_transform(
         nets.size(),
         [&](std::size_t i) {
           return route_impl(nets[i], request_at(i), nullptr, &nested);
@@ -239,7 +239,7 @@ std::vector<RouteResponse> Engine::route_batch_impl(
   // the file in net order regardless of scheduling (or stealing).
   par::OrderedSink<obs::NetEvent> ordered(
       [sink](obs::NetEvent&& e) { sink->emit(e); });
-  auto out = par::parallel_transform_sharded(
+  auto out = par::parallel_transform(
       nets.size(),
       [&](std::size_t i) {
         obs::NetEvent event;
@@ -292,7 +292,7 @@ std::vector<RouteResponse> Engine::route_batch_collect(
   PL_SPAN("engine.route_batch");
   events_out.resize(nets.size());
   par::ThreadPool& nested = par::inline_pool();
-  return par::parallel_transform_sharded(
+  return par::parallel_transform(
       nets.size(),
       [&](std::size_t i) {
         events_out[i].index = i;

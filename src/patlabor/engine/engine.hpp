@@ -121,7 +121,7 @@ class Engine {
   /// Routes every net (in parallel over the engine's pool), results in
   /// input order, bit-identical for every pool size.  The batch is sharded
   /// by net across the pool lanes with work stealing for tail imbalance
-  /// (par::ThreadPool::run_sharded); each net's nested work (candidate
+  /// (par::ThreadPool::run); each net's nested work (candidate
   /// evaluation) runs inline on its worker, so the scheduler only ever
   /// sees coarse net-granularity tasks.
   std::vector<RouteResponse> route_batch(std::span<const geom::Net> nets,

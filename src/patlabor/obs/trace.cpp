@@ -1,6 +1,7 @@
 #include "patlabor/obs/trace.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <memory>
@@ -26,6 +27,14 @@ struct BufRegistry {
   std::vector<std::shared_ptr<ThreadBuf>> bufs;
   std::uint32_t next_tid = 1;
 };
+
+/// Set by clear_trace(), reset by drain_trace(): spans record only while
+/// a trace is open, so nothing accumulates that no one will drain.
+std::atomic<bool> g_trace_open{false};
+
+bool recording() noexcept {
+  return enabled() && g_trace_open.load(std::memory_order_relaxed);
+}
 
 /// Immortal (never destroyed): a pool worker that starts late can reach
 /// local_buf() while the process is already running static destructors.
@@ -97,7 +106,7 @@ std::uint32_t alloc_lane(std::string name) {
 void record_span_in_lane(std::uint32_t tid, std::string name,
                          std::uint64_t ts_us, std::uint64_t dur_us,
                          std::uint32_t depth) {
-  if (!enabled()) return;
+  if (!recording()) return;
   const std::shared_ptr<ThreadBuf> b = lane_buf(tid);
   if (b == nullptr) return;
   TraceEvent e;
@@ -130,7 +139,7 @@ std::uint64_t now_us() noexcept {
 }
 
 TraceSpan::TraceSpan(const char* name) noexcept : name_(name) {
-  if (!enabled()) return;
+  if (!recording()) return;
   active_ = true;
   ThreadBuf& b = local_buf();
   depth_ = b.depth++;
@@ -152,20 +161,8 @@ TraceSpan::~TraceSpan() {
   b.events.push_back(std::move(e));
 }
 
-void record_span(std::string name, std::uint64_t ts_us, std::uint64_t dur_us) {
-  if (!enabled()) return;
-  ThreadBuf& b = local_buf();
-  TraceEvent e;
-  e.name = std::move(name);
-  e.tid = b.tid;
-  e.depth = b.depth;
-  e.ts_us = ts_us;
-  e.dur_us = dur_us;
-  std::lock_guard<std::mutex> lock(b.mu);
-  b.events.push_back(std::move(e));
-}
-
 std::vector<TraceEvent> drain_trace() {
+  g_trace_open.store(false, std::memory_order_relaxed);
   std::vector<TraceEvent> out;
   BufRegistry& r = buf_registry();
   std::lock_guard<std::mutex> lock(r.mu);
@@ -191,6 +188,7 @@ void clear_trace() {
     std::lock_guard<std::mutex> blk(b->mu);
     b->events.clear();
   }
+  g_trace_open.store(true, std::memory_order_relaxed);
 }
 
 std::string trace_json(const std::vector<TraceEvent>& events) {

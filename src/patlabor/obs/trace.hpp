@@ -5,9 +5,12 @@
 //
 // A span records one complete ("ph":"X") event when it is destroyed; spans
 // still open when drain_trace() runs are not included.  Recording is gated
-// on obs::enabled() at construction time and costs one mutex-protected
-// vector push per span end — spans belong at phase granularity (a solver
-// run, a net, a generation pass), not inside inner loops.
+// at construction time on obs::enabled() *and* on an open trace:
+// clear_trace() opens one, drain_trace() closes it.  A process that turns
+// obs on only for its counters (a daemon's stats) therefore buffers no
+// spans, however long it runs.  Recording costs one mutex-protected vector
+// push per span end — spans belong at phase granularity (a solver run, a
+// net, a generation pass), not inside inner loops.
 #pragma once
 
 #include <cstdint>
@@ -50,13 +53,6 @@ class TraceSpan {
   bool active_ = false;
 };
 
-/// Records an already-timed complete event into the calling thread's
-/// buffer at the thread's current nesting depth — for callers that took
-/// the timestamps themselves (e.g. the pool's per-task timeline, which
-/// shares one clock read between trace and worker accounting).  No-op
-/// when recording is disabled.
-void record_span(std::string name, std::uint64_t ts_us, std::uint64_t dur_us);
-
 /// Names the calling thread's lane in trace output (e.g. "pool.worker-3").
 /// Safe to call whether or not recording is enabled; the last name set for
 /// a thread wins.  Pool workers register themselves on startup.
@@ -70,8 +66,8 @@ void set_thread_name(std::string name);
 std::uint32_t alloc_lane(std::string name);
 
 /// Records an already-timed complete event into a virtual lane (or any
-/// tid) at the given nesting depth.  Thread-safe; no-op when recording is
-/// disabled or the lane was never allocated.
+/// tid) at the given nesting depth.  Thread-safe; no-op when no trace is
+/// recording or the lane was never allocated.
 void record_span_in_lane(std::uint32_t tid, std::string name,
                          std::uint64_t ts_us, std::uint64_t dur_us,
                          std::uint32_t depth = 0);
@@ -79,11 +75,12 @@ void record_span_in_lane(std::uint32_t tid, std::string name,
 /// Snapshot of every (tid, name) pair registered via set_thread_name.
 std::vector<std::pair<std::uint32_t, std::string>> thread_names();
 
-/// Moves every completed event out of all per-thread buffers, sorted by
-/// (tid, start time, depth).
+/// Closes the open trace and moves every completed event out of all
+/// per-thread buffers, sorted by (tid, start time, depth).
 std::vector<TraceEvent> drain_trace();
 
-/// Discards all buffered events.
+/// Discards all buffered events and opens a trace: spans record from here
+/// (while obs::enabled()) until the next drain_trace().
 void clear_trace();
 
 /// Chrome trace_event JSON ({"traceEvents": [...]}) for the given events.

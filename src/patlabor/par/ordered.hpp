@@ -8,8 +8,9 @@
 // whole batch.
 //
 // The callback runs under the sink's mutex — it must be fast and must not
-// re-enter put().  Memory is bounded by the out-of-order window (at most
-// the pool's in-flight chunk count when fed from par::parallel_transform).
+// re-enter put().  Memory is bounded by the out-of-order window.  Fed from
+// par::parallel_transform, that window can span most of a batch: a lane's
+// results wait until every lower-indexed range has finished.
 #pragma once
 
 #include <cstddef>

@@ -1,5 +1,6 @@
-// Shared parallel execution layer: a fixed-size thread pool with chunked
-// parallel_for / parallel_transform and a deterministic ordered reduction.
+// Shared parallel execution layer: a fixed-size thread pool that runs
+// batches of index-tasks, an ordered parallel_transform on top of it, and
+// per-task RNG streams.
 //
 // Determinism contract: parallel_transform(n, fn) returns out[i] = fn(i)
 // merged in index order, so as long as fn(i) depends only on i (and
@@ -8,11 +9,14 @@
 // — a function of the task index, never of the executing thread — which
 // keeps randomized work on the same contract.
 //
-// Batches are drained cooperatively: the submitting thread executes chunks
-// alongside the workers, so a worker may itself submit a nested batch to
-// the same pool without deadlock (it just drains the inner batch in place).
-// A pool of size 1 (or a batch of one chunk) runs entirely inline on the
-// calling thread — the zero-dependency fallback path spawns nothing.
+// Scheduling: a batch's indices are split into one contiguous range per
+// lane; each lane pops its own range front to back, and a lane whose range
+// is empty steals half the remainder from the tail of another lane's range.
+// Batches are drained cooperatively: the submitting thread works alongside
+// the workers, so a worker may itself submit a nested batch to the same
+// pool without deadlock (it just drains the inner batch in place).  A pool
+// of size 1 (or a batch of one task) runs entirely inline on the calling
+// thread — the zero-dependency fallback path spawns nothing.
 #pragma once
 
 #include <atomic>
@@ -61,22 +65,15 @@ class ThreadPool {
   /// Total parallelism (workers + the submitting thread); always >= 1.
   std::size_t size() const noexcept { return size_; }
 
-  /// Runs fn(i) for every i in [0, n), blocking until all calls finished.
-  /// Exceptions are rethrown in the caller; when several chunks throw, the
-  /// one with the smallest index wins (deterministic for any pool size).
-  void run_indexed(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// Like run_indexed, but indices are pre-sharded into one contiguous
-  /// range per lane instead of claimed from a shared counter.  Each lane
-  /// pops its own range front-to-back; a lane whose range is exhausted
-  /// steals a chunk (half the remainder) from the *tail* of another lane's
-  /// range, so owners and thieves never contend for the same index.  Meant
-  /// for coarse tasks (one net each): the common case is zero shared-state
-  /// traffic per task, with stealing only for tail imbalance.  Every index
-  /// still executes exactly once and exceptions keep the lowest-index-wins
-  /// rule, so the parallel_transform determinism contract carries over
-  /// unchanged.  Requires n < 2^32.
-  void run_sharded(std::size_t n, const std::function<void(std::size_t)>& fn);
+  /// Runs fn(i) for every i in [0, n) exactly once, blocking until all
+  /// calls finished.  Indices are claimed from per-lane ranges with tail
+  /// stealing (see the file comment), so the common case is zero
+  /// shared-state traffic per task.  Exceptions are rethrown in the caller;
+  /// when several tasks throw, the one with the smallest index wins
+  /// (deterministic for any pool size).  Throws std::length_error, before
+  /// running anything, when n >= 2^32: a range packs its bounds into 32
+  /// bits each.
+  void run(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   // ---- Concurrency observatory (all zero under PATLABOR_OBS=OFF or with
   // the obs runtime disabled; see DESIGN.md §6.2) ----
@@ -86,8 +83,8 @@ class ThreadPool {
   /// batches drained by a worker are attributed to that worker's lane.
   std::vector<WorkerStats> worker_stats() const;
 
-  /// Accumulated wall time of *top-level* run_indexed batches (nested
-  /// batches submitted from a worker are already inside a top-level one).
+  /// Accumulated wall time of *top-level* run() batches (nested batches
+  /// submitted from a worker are already inside a top-level one).
   std::uint64_t batch_wall_us() const;
 
   /// Lock-wait totals of the batch-queue mutex.
@@ -99,6 +96,7 @@ class ThreadPool {
 
  private:
   struct Impl;
+  struct Batch;
   /// One lane's counters, cache-line padded so concurrent lanes never
   /// share a line.  Lives outside Impl: a size-1 pool has no Impl (the
   /// inline fallback) but still accounts the caller lane.
@@ -140,36 +138,16 @@ ThreadPool& global_pool();
 /// Safe to share across threads (the inline path only touches atomics).
 ThreadPool& inline_pool();
 
-/// Chunked parallel loop over [0, n): fn(begin, end) per chunk of at most
-/// `grain` indices.  `pool` defaults to the global pool.
-void parallel_for(std::size_t n, std::size_t grain,
-                  const std::function<void(std::size_t, std::size_t)>& fn,
-                  ThreadPool* pool = nullptr);
-
 /// Ordered map: returns {fn(0), fn(1), ..., fn(n-1)}, computed in parallel
-/// but merged in index order.  fn must be callable concurrently.
+/// on ThreadPool::run but merged in index order.  fn must be callable
+/// concurrently.
 template <typename F>
 auto parallel_transform(std::size_t n, F&& fn, ThreadPool* pool = nullptr)
     -> std::vector<decltype(fn(std::size_t{}))> {
   using R = decltype(fn(std::size_t{}));
   std::vector<R> out(n);
   ThreadPool& p = pool != nullptr ? *pool : global_pool();
-  p.run_indexed(n, [&](std::size_t i) { out[i] = fn(i); });
-  return out;
-}
-
-/// parallel_transform on run_sharded: identical output (out[i] = fn(i),
-/// merged in index order — bit-identical for any pool size), but indices
-/// are claimed from per-lane ranges with tail stealing.  Use for coarse
-/// tasks where per-task shared-counter traffic and tail imbalance matter.
-template <typename F>
-auto parallel_transform_sharded(std::size_t n, F&& fn,
-                                ThreadPool* pool = nullptr)
-    -> std::vector<decltype(fn(std::size_t{}))> {
-  using R = decltype(fn(std::size_t{}));
-  std::vector<R> out(n);
-  ThreadPool& p = pool != nullptr ? *pool : global_pool();
-  p.run_sharded(n, [&](std::size_t i) { out[i] = fn(i); });
+  p.run(n, [&](std::size_t i) { out[i] = fn(i); });
   return out;
 }
 

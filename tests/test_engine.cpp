@@ -399,29 +399,37 @@ TEST_F(EngineSuite, CacheOnAndOffAreBitIdenticalAcrossJobs) {
   const auto r_on1 = on1.route_batch(nets);
   const auto r_off1 = off1.route_batch(nets);
   ASSERT_EQ(r_on1.size(), nets.size());
+  const auto expect_net = [&](const engine::RouteResponse& r, std::size_t i,
+                              const char* label) {
+    EXPECT_EQ(r_on1[i].frontier, r.frontier) << label << " net " << i;
+    EXPECT_EQ(r_on1[i].iterations, r.iterations) << label << " net " << i;
+    ASSERT_EQ(r_on1[i].trees.size(), r.trees.size()) << label << " net " << i;
+    for (std::size_t t = 0; t < r_on1[i].trees.size(); ++t)
+      EXPECT_EQ(r_on1[i].trees[t].structural_hash(),
+                r.trees[t].structural_hash())
+          << label << " net " << i << " tree " << t;
+  };
   const auto expect_same = [&](const std::vector<engine::RouteResponse>& r,
                                const char* label) {
     ASSERT_EQ(r.size(), nets.size()) << label;
-    for (std::size_t i = 0; i < nets.size(); ++i) {
-      EXPECT_EQ(r_on1[i].frontier, r[i].frontier) << label << " net " << i;
-      EXPECT_EQ(r_on1[i].iterations, r[i].iterations)
-          << label << " net " << i;
-      ASSERT_EQ(r_on1[i].trees.size(), r[i].trees.size())
-          << label << " net " << i;
-      for (std::size_t t = 0; t < r_on1[i].trees.size(); ++t)
-        EXPECT_EQ(r_on1[i].trees[t].structural_hash(),
-                  r[i].trees[t].structural_hash())
-            << label << " net " << i << " tree " << t;
-    }
+    for (std::size_t i = 0; i < nets.size(); ++i) expect_net(r[i], i, label);
   };
   expect_same(r_off1, "off jobs=1");
   // Wider pools exercise the sharded scheduler and its stealing; every
-  // width must reproduce the jobs=1 bits, cache on and off.
+  // width must reproduce the jobs=1 bits, cache on and off.  A single-net
+  // route() of a local-search net (degree above the default lambda of 9)
+  // fans its candidate evaluation out over the engine's own pool instead,
+  // and must reproduce the same bits.
   for (const std::size_t jobs : {std::size_t{2}, std::size_t{4},
                                  std::size_t{8}}) {
     const engine::Engine on(options(true, jobs)), off(options(false, jobs));
     expect_same(on.route_batch(nets), "on");
     expect_same(off.route_batch(nets), "off");
+    for (std::size_t i = 0; i < nets.size(); ++i) {
+      if (nets[i].degree() <= 9) continue;
+      expect_net(on.route(nets[i]), i, "route on");
+      expect_net(off.route(nets[i]), i, "route off");
+    }
   }
   // The cache actually participated: the corpus repeats every base shape.
   EXPECT_GT(on1.cache_stats().hits, 0u);

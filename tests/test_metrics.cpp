@@ -229,13 +229,9 @@ TEST_F(MetricsTest, ConcurrentCounterIncrementsRaceSnapshotSafely) {
     }
   });
 
-  par::parallel_for(
-      kWorkers, /*grain=*/1,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t w = begin; w < end; ++w)
-          for (std::uint64_t i = 0; i < kPerWorker; ++i) counter.add(1);
-      },
-      &pool);
+  pool.run(kWorkers, [&](std::size_t) {
+    for (std::uint64_t i = 0; i < kPerWorker; ++i) counter.add(1);
+  });
   done.store(true, std::memory_order_release);
   scraper.join();
 

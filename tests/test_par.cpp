@@ -17,6 +17,7 @@
 #include "patlabor/lut/lut.hpp"
 #include "patlabor/netgen/netgen.hpp"
 #include "patlabor/obs/obs.hpp"
+#include "patlabor/obs/report.hpp"
 #include "patlabor/obs/trace.hpp"
 #include "patlabor/par/ordered.hpp"
 #include "patlabor/par/pool.hpp"
@@ -25,23 +26,6 @@
 
 namespace patlabor {
 namespace {
-
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    par::ThreadPool pool(threads);
-    EXPECT_EQ(pool.size(), threads);
-    for (std::size_t grain : {std::size_t{1}, std::size_t{3}, std::size_t{100}}) {
-      std::vector<std::atomic<int>> hits(257);
-      par::parallel_for(
-          hits.size(), grain,
-          [&](std::size_t b, std::size_t e) {
-            for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
-          },
-          &pool);
-      for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-    }
-  }
-}
 
 TEST(ThreadPool, ParallelTransformMergesInIndexOrder) {
   par::ThreadPool pool(4);
@@ -53,30 +37,57 @@ TEST(ThreadPool, ParallelTransformMergesInIndexOrder) {
 
 TEST(ThreadPool, ZeroAndOneElementBatchesRunInline) {
   par::ThreadPool pool(4);
-  par::parallel_for(0, 1, [](std::size_t, std::size_t) { FAIL(); }, &pool);
+  EXPECT_EQ(pool.size(), 4u);
+  pool.run(0, [](std::size_t) { FAIL(); });
+  const auto caller = std::this_thread::get_id();
   const auto one = par::parallel_transform(
-      1, [](std::size_t i) { return i + 41; }, &pool);
+      1,
+      [&](std::size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        return i + 41;
+      },
+      &pool);
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(one[0], 41u);
 }
 
+TEST(ThreadPool, RejectsBatchesThatDoNotFitThirtyTwoBitRanges) {
+  // Checked before anything runs, on the inline path as on the sharded one.
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    par::ThreadPool pool(threads);
+    std::atomic<int> calls{0};
+    EXPECT_THROW(pool.run(std::size_t{1} << 32,
+                          [&](std::size_t) { calls.fetch_add(1); }),
+                 std::length_error);
+    EXPECT_EQ(calls.load(), 0);
+  }
+}
+
 TEST(ThreadPool, LowestIndexExceptionWins) {
-  par::ThreadPool pool(4);
-  try {
-    pool.run_indexed(64, [](std::size_t i) {
-      if (i % 7 == 3) throw std::runtime_error("boom " + std::to_string(i));
-    });
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "boom 3");
+  // The inline path (size 1) stops at the first throw, which in index
+  // order is the lowest; a one-task batch on a wide pool runs inline too.
+  for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    par::ThreadPool pool(threads);
+    for (std::size_t n : {std::size_t{1}, std::size_t{64}}) {
+      try {
+        pool.run(n, [n](std::size_t i) {
+          if (n == 1 || i % 7 == 3)
+            throw std::runtime_error("boom " + std::to_string(i));
+        });
+        FAIL() << "expected an exception";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), n == 1 ? "boom 0" : "boom 3")
+            << threads << " lanes, n " << n;
+      }
+    }
   }
 }
 
 TEST(ThreadPool, NestedBatchesOnTheSamePoolDoNotDeadlock) {
   par::ThreadPool pool(3);
   std::atomic<int> total{0};
-  pool.run_indexed(5, [&](std::size_t) {
-    pool.run_indexed(5, [&](std::size_t) { total.fetch_add(1); });
+  pool.run(5, [&](std::size_t) {
+    pool.run(5, [&](std::size_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 25);
 }
@@ -85,7 +96,7 @@ TEST(ThreadPool, SequentialBatchesReuseWorkers) {
   par::ThreadPool pool(2);
   for (int round = 0; round < 50; ++round) {
     std::atomic<int> n{0};
-    pool.run_indexed(8, [&](std::size_t) { n.fetch_add(1); });
+    pool.run(8, [&](std::size_t) { n.fetch_add(1); });
     ASSERT_EQ(n.load(), 8);
   }
 }
@@ -98,24 +109,32 @@ TEST(RunSharded, CoversEveryIndexOnceForAnyPoolAndBatchSize) {
                           std::size_t{7}, std::size_t{257},
                           std::size_t{1000}}) {
       std::vector<std::atomic<int>> hits(n);
-      pool.run_sharded(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+      pool.run(n, [&](std::size_t i) { hits[i].fetch_add(1); });
       for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
     }
   }
 }
 
 TEST(RunSharded, TransformMergesInIndexOrder) {
-  par::ThreadPool pool(4);
-  const auto out = par::parallel_transform_sharded(
-      1000, [](std::size_t i) { return i * i; }, &pool);
-  ASSERT_EQ(out.size(), 1000u);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
+  // Heap-owning results of uneven cost, so lanes finish out of order and
+  // steal; the merge must still be by index for every pool width.
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                              std::size_t{8}}) {
+    par::ThreadPool pool(threads);
+    const auto out = par::parallel_transform(
+        300,
+        [](std::size_t i) { return std::vector<std::size_t>(i % 17, i); },
+        &pool);
+    ASSERT_EQ(out.size(), 300u);
+    for (std::size_t i = 0; i < out.size(); ++i)
+      EXPECT_EQ(out[i], std::vector<std::size_t>(i % 17, i)) << threads;
+  }
 }
 
 TEST(RunSharded, LowestIndexExceptionWins) {
   par::ThreadPool pool(4);
   try {
-    pool.run_sharded(64, [](std::size_t i) {
+    pool.run(64, [](std::size_t i) {
       if (i % 7 == 3) throw std::runtime_error("boom " + std::to_string(i));
     });
     FAIL() << "expected an exception";
@@ -133,7 +152,7 @@ TEST(RunSharded, StalledShardIsDrainedByStealing) {
   par::ThreadPool pool(2);
   pool.reset_stats();
   std::atomic<int> others_done{0};
-  pool.run_sharded(4, [&](std::size_t i) {
+  pool.run(4, [&](std::size_t i) {
     if (i == 0) {
       while (others_done.load(std::memory_order_acquire) < 3)
         std::this_thread::yield();
@@ -160,7 +179,7 @@ TEST(RunSharded, StealHeavyStressCoversEveryIndex) {
   for (int round = 0; round < 5; ++round) {
     std::vector<std::atomic<int>> hits(n);
     std::atomic<std::uint64_t> sink{0};
-    pool.run_sharded(n, [&](std::size_t i) {
+    pool.run(n, [&](std::size_t i) {
       hits[i].fetch_add(1);
       if (i < n / 8) {  // first shard: ~50x the work
         std::uint64_t acc = i;
@@ -254,7 +273,7 @@ class PoolObservatory : public ::testing::Test {
 
 TEST_F(PoolObservatory, WorkerStatsCoverEveryLaneAndSumToBatchSize) {
   par::ThreadPool pool(4);
-  pool.run_indexed(64, [](std::size_t) {
+  pool.run(64, [](std::size_t) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   });
   const auto ws = pool.worker_stats();
@@ -283,7 +302,7 @@ TEST_F(PoolObservatory, WorkerStatsCoverEveryLaneAndSumToBatchSize) {
 
 TEST_F(PoolObservatory, InlinePoolAccountsTheCallerLane) {
   par::ThreadPool pool(1);  // no Impl: the pure inline path
-  pool.run_indexed(8, [](std::size_t) {
+  pool.run(8, [](std::size_t) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   });
   const auto ws = pool.worker_stats();
@@ -300,8 +319,8 @@ TEST_F(PoolObservatory, NestedBatchesDoNotDoubleCountBusyTime) {
   // their parent's timed window would roughly double it.
   par::ThreadPool pool(1);
   const std::uint64_t t0 = obs::now_us();
-  pool.run_indexed(1, [&](std::size_t) {
-    pool.run_indexed(4, [](std::size_t) {
+  pool.run(1, [&](std::size_t) {
+    pool.run(4, [](std::size_t) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     });
   });
@@ -314,25 +333,32 @@ TEST_F(PoolObservatory, NestedBatchesDoNotDoubleCountBusyTime) {
   // Only the top-level batch counts toward the batch wall.
   EXPECT_LE(pool.batch_wall_us(), elapsed + 1000u);
 
-  // Multi-lane smoke: nested work spread across workers still sums.
-  par::ThreadPool pool2(2);
-  pool2.run_indexed(2, [&](std::size_t) {
-    pool2.run_indexed(4, [](std::size_t) {});
-  });
-  std::uint64_t tasks = 0;
-  std::uint64_t max_busy = 0;
-  for (const auto& w : pool2.worker_stats()) {
-    tasks += w.tasks;
-    max_busy = std::max(max_busy, w.busy_us);
+  // Multi-lane: nested batches submitted from workers (each drains its
+  // inner batch in place, others may steal from it) still sum, and no
+  // lane's busy time exceeds the top-level batch wall.
+  for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    par::ThreadPool pool2(threads);
+    pool2.run(8, [&](std::size_t) {
+      pool2.run(4, [](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      });
+    });
+    std::uint64_t tasks = 0;
+    std::uint64_t max_busy = 0;
+    for (const auto& w : pool2.worker_stats()) {
+      tasks += w.tasks;
+      max_busy = std::max(max_busy, w.busy_us);
+    }
+    EXPECT_EQ(tasks, 8u + 8u * 4u) << threads << " lanes";
+    EXPECT_LE(max_busy, pool2.batch_wall_us() + 1000u)
+        << threads << " lanes";
   }
-  EXPECT_EQ(tasks, 2u + 2u * 4u);
-  EXPECT_LE(max_busy, pool2.batch_wall_us() + 1000u);
 }
 
 TEST_F(PoolObservatory, StatsStayZeroWhileRuntimeDisabled) {
   obs::set_enabled(false);
   par::ThreadPool pool(3);
-  pool.run_indexed(32, [](std::size_t) {
+  pool.run(32, [](std::size_t) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   });
   for (const auto& w : pool.worker_stats()) {
@@ -346,7 +372,7 @@ TEST_F(PoolObservatory, StatsStayZeroWhileRuntimeDisabled) {
 TEST_F(PoolObservatory, PerTaskSpansLandInWorkerTraceLanes) {
   obs::clear_trace();
   par::ThreadPool pool(2);
-  pool.run_indexed(6, [](std::size_t) {
+  pool.run(6, [](std::size_t) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   });
   const auto events = obs::drain_trace();
@@ -354,6 +380,62 @@ TEST_F(PoolObservatory, PerTaskSpansLandInWorkerTraceLanes) {
   for (const auto& e : events)
     if (e.name == "pool.task") ++spans;
   EXPECT_EQ(spans, 6u);
+}
+
+TEST_F(PoolObservatory, PhaseTablesHaveNoNegativeSelfTime) {
+  // pool.task encloses its task body, so the spans a task opens nest under
+  // it and no enclosing phase is charged the same child time twice.
+  const lut::LookupTable table = lut::LookupTable::generate(4);
+  std::vector<geom::Net> nets;
+  util::Rng rng(21);
+  for (std::size_t k = 0; k < 24; ++k)
+    nets.push_back(netgen::uniform_net(rng, 5 + k % 6));
+  const auto expect_no_negative_self = [](const std::string& label) {
+    const auto phases = obs::aggregate_phases(obs::drain_trace());
+    bool saw_task = false;
+    for (const obs::PhaseRow& row : phases) {
+      EXPECT_GE(row.self_s, 0.0) << label << ": " << row.name;
+      saw_task = saw_task || row.name == "pool.task";
+    }
+    EXPECT_TRUE(saw_task) << label;
+  };
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    engine::EngineOptions opt;
+    opt.table = &table;
+    opt.lambda = 7;
+    opt.jobs = jobs;
+    const engine::Engine eng(opt);
+    obs::clear_trace();
+    (void)eng.route_batch(nets);
+    expect_no_negative_self("route_batch jobs=" + std::to_string(jobs));
+  }
+  par::ThreadPool pool(2);
+  obs::clear_trace();
+  (void)lut::LookupTable::generate(4, {}, &pool);
+  expect_no_negative_self("generate(4) on 2 lanes");
+}
+
+TEST_F(PoolObservatory, NoSpansAreBufferedWithoutAnOpenTrace) {
+  // A daemon turns obs on for its counters and never drains a trace; spans
+  // must not pile up in the per-thread buffers then.
+  (void)obs::drain_trace();  // closes any trace an earlier test opened
+  const lut::LookupTable table = lut::LookupTable::generate(4);
+  engine::EngineOptions opt;
+  opt.table = &table;
+  opt.lambda = 7;
+  opt.jobs = 2;
+  const engine::Engine eng(opt);
+  util::Rng rng(8);
+  std::vector<geom::Net> nets;
+  for (std::size_t round = 0; round < 120; ++round) {
+    nets.assign(1 + round % 3, netgen::uniform_net(rng, 5 + round % 4));
+    (void)eng.route_batch(nets);
+  }
+  std::uint64_t tasks = 0;
+  for (const par::WorkerStats& w : eng.pool()->worker_stats())
+    tasks += w.tasks;
+  EXPECT_GT(tasks, 0u);  // the obs runtime was on throughout
+  EXPECT_TRUE(obs::drain_trace().empty());
 }
 
 // ---- Determinism golden-compares across pool sizes ----
@@ -542,12 +624,7 @@ TEST(OrderedSink, ConsumerSeesIndexOrderUnderConcurrentPuts) {
       [&](std::size_t&& v) { seen.push_back(v); });
   par::ThreadPool pool(4);
   // Workers complete out of order; the consumer must still observe 0..n-1.
-  par::parallel_for(
-      kItems, /*grain=*/7,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) sink.put(i, i);
-      },
-      &pool);
+  pool.run(kItems, [&](std::size_t i) { sink.put(i, i); });
   ASSERT_EQ(seen.size(), kItems);
   for (std::size_t i = 0; i < kItems; ++i) EXPECT_EQ(seen[i], i);
   EXPECT_EQ(sink.pending(), 0u);
