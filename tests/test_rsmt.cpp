@@ -2,6 +2,7 @@
 
 #include "patlabor/rsmt/mst.hpp"
 #include "patlabor/geom/box.hpp"
+#include "patlabor/netgen/netgen.hpp"
 #include "patlabor/rsmt/rsmt.hpp"
 #include "test_util.hpp"
 
@@ -104,6 +105,25 @@ TEST(Rsmt, HandlesDuplicateAndCollinearPins) {
   const auto t = rsmt::rsmt(net);
   EXPECT_TRUE(t.validate().empty()) << t.validate();
   EXPECT_EQ(t.wirelength(), 9);
+}
+
+// Digest of exact_rsmt's trees over seeded clustered nets of degree 2-10
+// and tie-heavy nets on a 7x7 lattice (shared rows and columns, duplicate
+// pins), where many origins reach a node at equal cost.  Recorded with the
+// pairwise O(nv^2) grow step; any grow step must reproduce it bit for bit,
+// so a tie resolved toward a different origin (another how[] choice, hence
+// another tree) fails here.
+TEST(ExactRsmt, GoldenDigestOfTrees) {
+  testing::Digest digest;
+  util::Rng rng(2027);
+  for (std::size_t degree = 2; degree <= rsmt::kExactMaxDegree; ++degree) {
+    for (int rep = 0; rep < 3; ++rep) {
+      digest.mix(rsmt::exact_rsmt(netgen::clustered_net(rng, degree)));
+      digest.mix(rsmt::exact_rsmt(testing::random_net(rng, degree, 6, true)));
+    }
+  }
+  EXPECT_EQ(digest.h, 0x3cad525cdfe26b70ull)
+      << std::hex << "digest 0x" << digest.h;
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "patlabor/geom/net.hpp"
+#include "patlabor/tree/routing_tree.hpp"
 #include "patlabor/util/rng.hpp"
 
 namespace patlabor::testing {
@@ -30,5 +31,22 @@ inline geom::Net random_net(util::Rng& rng, std::size_t degree,
   }
   return net;
 }
+
+/// FNV-1a over 64-bit words, for golden digests of solver outputs: a
+/// moved tie-break anywhere in a solver changes some tree, hence the value.
+struct Digest {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+
+  void mix(std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ull;
+  }
+  void mix(const tree::RoutingTree& t) {
+    mix(t.num_nodes());
+    mix(static_cast<std::uint64_t>(t.wirelength()));
+    mix(static_cast<std::uint64_t>(t.delay()));
+    mix(t.structural_hash());
+  }
+};
 
 }  // namespace patlabor::testing
