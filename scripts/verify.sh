@@ -16,7 +16,8 @@
 # stream quality-identical to a direct engine run; a weaker-method
 # perturbation must trip it), the stress-exit check (1000 processes that
 # start the global pool and exit at once), an ASan+UBSan pass over the
-# arena-backed DW solvers and the SolutionSet kernels, then a
+# arena-backed DW solvers, the exact-RSMT sweeps, the refine subtree
+# intervals and the SolutionSet kernels, then a
 # suppression-free ThreadSanitizer pass over the parallel execution layer
 # (par/, including the work-stealing scheduler and the pool
 # timeline/TimedMutex instrumentation), observability (obs/), engine and
@@ -424,17 +425,19 @@ cmake --build build-noobs -j \
 )
 
 if [[ $run_asan -eq 1 ]]; then
-  echo "== ASan+UBSan: dw / lut / pareto / serve tests =="
+  echo "== ASan+UBSan: dw / rsmt / refine / lut / pareto / serve tests =="
   cmake -B build-asan -S . -G Ninja -DPATLABOR_ASAN=ON
   cmake --build build-asan -j \
-    --target test_dw test_lut test_lut_format test_pareto test_core \
-    test_serve
+    --target test_dw test_rsmt test_refine test_lut test_lut_format \
+    test_pareto test_core test_serve
   (
     cd build-asan
     export ASAN_OPTIONS="detect_leaks=1:halt_on_error=1"
     export UBSAN_OPTIONS="halt_on_error=1"
     ./tests/test_pareto
     ./tests/test_dw
+    ./tests/test_rsmt
+    ./tests/test_refine
     ./tests/test_lut
     ./tests/test_lut_format
     ./tests/test_core

@@ -258,6 +258,10 @@ PatLaborResult patlabor(const Net& net, const PatLaborOptions& options) {
 
     auto [sub_frontier, sub_trees] = [&] {
       PL_SPAN("search.subnet_solve");
+      // A lambda-pin subnet above the table's depth (or with no table)
+      // falls through to numeric Pareto-DW.
+      if (options.table == nullptr || !options.table->covers(subnet.degree()))
+        PL_COUNT("search.subnet_dw_fallback", 1);
       return exact_small_frontier(subnet, options.table);
     }();
     (void)sub_frontier;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <limits>
 #include <utility>
 
 #include "patlabor/geom/box.hpp"
@@ -126,6 +127,7 @@ class Solver {
   std::uint64_t merge_cands_ = 0;   // merge-phase points offered to the kernel
   std::uint64_t grow_cands_ = 0;    // grow-phase points offered to the kernel
   std::uint64_t grow_skipped_ = 0;  // grow lists rejected by their corner
+  std::uint64_t grow_exits_ = 0;    // grow rows cut short by the bound
   std::uint64_t kept_ = 0;          // entries surviving the Pareto filters
 };
 
@@ -192,11 +194,21 @@ void Solver::solve_mask(std::uint32_t mask) {
   // origin's whole list is then usually dominated at its corner (least w,
   // least d of its base set) and skipped without a single insert.  The
   // corners of one mask sit in one contiguous row; w < 0 marks an empty
-  // base.
+  // base.  (wmin, dmin) is the least corner of the row: once it, shifted
+  // by the current distance, is dominated, so is every later corner
+  // (distances only grow), and the row ends there (§12.4).
+  Length wmin = std::numeric_limits<Length>::max();
+  Length dmin = std::numeric_limits<Length>::max();
   for (std::size_t pu = 0; pu < na; ++pu) {
     const auto ub = s_.base_arena.view(state(s_.active[pu], mask).base);
-    s_.corner[pu] = ub.empty() ? Objective{-1, -1}
-                               : Objective{ub.front().obj.w, ub.back().obj.d};
+    if (ub.empty()) {
+      s_.corner[pu] = Objective{-1, -1};
+      continue;
+    }
+    const Objective c{ub.front().obj.w, ub.back().obj.d};
+    s_.corner[pu] = c;
+    wmin = std::min(wmin, c.w);
+    dmin = std::min(dmin, c.d);
   }
   auto& grown = s_.grow_set;
   for (std::size_t pv = 0; pv < na; ++pv) {
@@ -214,9 +226,15 @@ void Solver::solve_mask(std::uint32_t mask) {
       if (c.w < 0) continue;
       const Length len = s_.dist[pv * na + pu];
       // Every shifted point is no better than the shifted corner in both
-      // coordinates, so a dominated corner rejects the whole list.
+      // coordinates, so a dominated corner rejects the whole list.  The
+      // bound is tested only then: it lies below this corner, so it can
+      // be dominated only where the corner is too.
       if (grown.dominated(Objective{c.w + len, c.d + len})) {
         ++grow_skipped_;
+        if (grown.dominated(Objective{wmin + len, dmin + len})) {
+          ++grow_exits_;
+          break;
+        }
         continue;
       }
       const NodeId u = s_.active[pu];
@@ -337,6 +355,7 @@ ParetoDwResult Solver::run() {
   PL_COUNT("dw.merge_candidates", merge_cands_);
   PL_COUNT("dw.grow_candidates", grow_cands_);
   PL_COUNT("dw.grow_lists_skipped", grow_skipped_);
+  PL_COUNT("dw.grow_early_exits", grow_exits_);
   PL_COUNT("pareto.points_filtered", merge_cands_ + grow_cands_ - kept_);
   PL_HIST("dw.frontier_size", result.frontier.size());
   return result;

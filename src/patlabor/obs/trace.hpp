@@ -58,12 +58,22 @@ class TraceSpan {
 /// a thread wins.  Pool workers register themselves on startup.
 void set_thread_name(std::string name);
 
+/// True while spans record: obs::enabled() and a trace is open (between
+/// clear_trace() and drain_trace()).
+bool recording() noexcept;
+
 /// Allocates a *virtual* lane: a named tid in the trace output that is not
 /// bound to any thread.  For entities whose work is executed by varying
-/// threads but should render as one timeline — the server gives every
-/// client connection a lane ("serve.conn-3") and records request spans
-/// into it from the dispatcher.  Lanes live for the process lifetime.
+/// threads but should render as one timeline — the server gives a client
+/// connection a lane ("serve.conn-3") and records request spans into it
+/// from the dispatcher.  A lane lives until release_lane().
 std::uint32_t alloc_lane(std::string name);
+
+/// Gives back a lane from alloc_lane().  A lane without buffered events
+/// goes at once; one whose events are still to be drained keeps them and
+/// its name (for the drained trace's output) until the next clear_trace().
+/// Spans recorded into a released lane are dropped.
+void release_lane(std::uint32_t tid);
 
 /// Records an already-timed complete event into a virtual lane (or any
 /// tid) at the given nesting depth.  Thread-safe; no-op when no trace is

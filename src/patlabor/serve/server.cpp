@@ -48,11 +48,19 @@ struct Server::Conn {
   /// in-flight responses.
   std::atomic<bool> dead{false};
   std::thread reader;
+  /// Set as reader_loop returns; with `dead`, the accept loop may join the
+  /// reader and drop the connection.
+  std::atomic<bool> reader_done{false};
   /// Virtual Chrome-trace lane of this connection (obs::alloc_lane),
-  /// allocated lazily on the first admitted route request; 0 = none yet.
-  /// Written by the reader, read by the dispatcher: the admission queue
-  /// push/pop pair orders the accesses.
+  /// allocated on the first route request admitted while a trace records;
+  /// 0 = none.  Written by the reader, read by the dispatcher: the
+  /// admission queue push/pop pair orders the accesses.  Released with the
+  /// connection, after the last job that records into it.
   std::uint32_t lane = 0;
+
+  ~Conn() {
+    if (lane != 0) obs::release_lane(lane);
+  }
 };
 
 struct Server::Job {
@@ -295,6 +303,16 @@ void Server::accept_loop() {
     stat_connections_.fetch_add(1, std::memory_order_relaxed);
     PL_COUNT("serve.connections", 1);
     std::lock_guard<std::mutex> lock(conns_mu_);
+    // Reap connections closed since the last accept: join their readers
+    // and drop the server's reference, so a long-running daemon keeps no
+    // thread or trace lane per past connection.
+    std::erase_if(conns_, [](const std::shared_ptr<Conn>& c) {
+      if (!c->reader_done.load(std::memory_order_acquire) ||
+          !c->dead.load(std::memory_order_acquire))
+        return false;
+      c->reader.join();
+      return true;
+    });
     conn->id = next_conn_id_++;
     conn->reader = std::thread([this, conn] { reader_loop(conn); });
     conns_.push_back(std::move(conn));
@@ -316,6 +334,10 @@ void Server::accept_loop() {
 }
 
 void Server::reader_loop(std::shared_ptr<Conn> conn) {
+  struct DoneOnExit {
+    Conn& conn;
+    ~DoneOnExit() { conn.reader_done.store(true, std::memory_order_release); }
+  } done_on_exit{*conn};
   // Reads exactly n bytes.  `frame_started` selects the drain policy: an
   // idle connection exits as soon as the drain begins, a partially-read
   // frame gets a grace window to complete (the bytes are in flight).
@@ -488,7 +510,7 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn_ptr,
       note_client(tag, 1, kHeaderSize + payload.size(), 0);
       in_flight_.fetch_add(1, std::memory_order_relaxed);
       if constexpr (obs::compiled_in()) {
-        if (conn.lane == 0)
+        if (conn.lane == 0 && obs::recording())
           conn.lane = obs::alloc_lane("serve.conn-" + std::to_string(conn.id));
         job.trace.conn_id = conn.id;
         job.trace.request_id = header.request_id;

@@ -9,6 +9,7 @@
 //   * normalization — drop dangling Steiner nodes, splice pass-throughs.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "patlabor/tree/routing_tree.hpp"
@@ -20,6 +21,22 @@ enum class RefineMode {
   kWirelength,  ///< accept moves that cut w without hurting d
   kDelay,       ///< accept moves that cut d without hurting w
   kEither,      ///< accept any weak Pareto improvement
+};
+
+/// Preorder numbering for O(1) subtree tests: after build(), node u lies
+/// in subtree(v) iff tin[v] <= tin[u] < tout[v], which is
+/// RoutingTree::in_subtree(u, v) without the walk up the parents.
+struct PreorderIntervals {
+  std::vector<std::size_t> order;   ///< nodes in preorder, root first
+  std::vector<std::uint32_t> tin;   ///< position of each node in `order`
+  std::vector<std::uint32_t> tout;  ///< one past the end of its subtree
+
+  /// Numbers the tree given by its children lists (RoutingTree::children).
+  void build(const std::vector<std::vector<std::int32_t>>& children);
+
+  bool in_subtree(std::size_t u, std::size_t v) const {
+    return tin[v] <= tin[u] && tin[u] < tout[v];
+  }
 };
 
 /// One full Steinerization sweep (repeated to fixpoint internally):

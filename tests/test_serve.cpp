@@ -910,4 +910,63 @@ TEST(ServeObs, FlightDumpCoversEveryAdmittedRequest) {
   std::remove(dump_file.c_str());
 }
 
+/// Trace lanes that belong to daemon connections ("serve.conn-N").
+std::vector<std::pair<std::uint32_t, std::string>> conn_lanes() {
+  std::vector<std::pair<std::uint32_t, std::string>> out;
+  for (auto& lane : obs::thread_names())
+    if (lane.second.rfind("serve.conn-", 0) == 0) out.push_back(lane);
+  return out;
+}
+
+// A long-running daemon keeps no trace lane per past connection: with obs
+// on but no trace open none is allocated, and one allocated while a trace
+// records carries that connection's request spans and is given back once
+// the connection has closed and been reaped.
+TEST(ServeObs, ClosedConnectionsLeaveNoTraceLanes) {
+  if (!obs::compiled_in())
+    GTEST_SKIP() << "trace lanes require PATLABOR_OBS=ON";
+  obs::set_enabled(true);
+  (void)obs::drain_trace();  // closes any trace an earlier test opened
+  serve::Server server(base_options());
+  const geom::Net net = make_nets(61, 1).front();
+  const auto one_request_connections = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      serve::Client client(server.socket_path());
+      client.route(net, {});
+    }
+  };
+  one_request_connections(20);  // pool workers have named their lanes
+  const std::size_t names_before = obs::thread_names().size();
+  one_request_connections(500);
+  EXPECT_EQ(obs::thread_names().size(), names_before);
+  EXPECT_TRUE(conn_lanes().empty());
+
+  obs::clear_trace();
+  {
+    serve::Client client(server.socket_path());
+    client.route(net, {});
+    // The dispatcher records a request's spans after writing its reply;
+    // a second round trip on the same connection orders the first one's
+    // (the second one's may still be on their way).
+    client.route(net, {});
+  }
+  const auto lanes = conn_lanes();
+  ASSERT_EQ(lanes.size(), 1u);
+  std::size_t requests_in_lane = 0;
+  for (const obs::TraceEvent& e : obs::drain_trace())
+    if (e.tid == lanes.front().first && e.name == "serve.request")
+      ++requests_in_lane;
+  EXPECT_GE(requests_in_lane, 1u);
+
+  // The closed connection is reaped at a later accept, once its reader has
+  // seen the hangup.
+  for (int i = 0; i < 500 && !conn_lanes().empty(); ++i) {
+    serve::Client client(server.socket_path());
+    client.ping();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_TRUE(conn_lanes().empty());
+  server.stop();
+}
+
 }  // namespace
