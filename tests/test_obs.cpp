@@ -278,6 +278,37 @@ TEST_F(ObsTest, SpansFromMultipleThreadsGetDistinctTids) {
 
 // ---- TimedMutex: lock-wait accounting ----
 
+// A released lane goes at once when nothing of it awaits a drain.  One
+// with buffered events keeps them, and its name for the drained trace's
+// output, until the next clear_trace().  Spans into it after the release
+// are dropped.
+TEST_F(ObsTest, ReleasedLanesGoOnceDrained) {
+  PL_REQUIRE_COMPILED_IN();
+  obs::set_enabled(true);
+  obs::clear_trace();
+  const auto named = [](std::uint32_t tid) {
+    for (const auto& lane : obs::thread_names())
+      if (lane.first == tid) return true;
+    return false;
+  };
+  const std::uint32_t idle = obs::alloc_lane("test.idle");
+  EXPECT_TRUE(named(idle));
+  obs::release_lane(idle);
+  EXPECT_FALSE(named(idle));
+
+  const std::uint32_t busy = obs::alloc_lane("test.busy");
+  obs::record_span_in_lane(busy, "test.before", 10, 5);
+  obs::release_lane(busy);
+  obs::record_span_in_lane(busy, "test.after", 20, 5);
+  std::vector<std::string> in_lane;
+  for (const TraceEvent& e : obs::drain_trace())
+    if (e.tid == busy) in_lane.push_back(e.name);
+  EXPECT_EQ(in_lane, std::vector<std::string>{"test.before"});
+  EXPECT_TRUE(named(busy));
+  obs::clear_trace();
+  EXPECT_FALSE(named(busy));
+}
+
 TEST_F(ObsTest, TimedMutexCountsUncontendedAcquisitions) {
   PL_REQUIRE_COMPILED_IN();
   obs::set_enabled(true);
